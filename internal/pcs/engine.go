@@ -191,6 +191,13 @@ type probe struct {
 	requestedRelease bool
 	waitingFor       Channel
 	waitingOwner     int64 // circuit ID expected to release waitingFor
+	// parked marks a waiting probe whose last step took the side-effect-free
+	// stay path with its release already requested; parkStamp is the
+	// engine's write clock at that step. Until a channel in opts or
+	// waitingFor is written after parkStamp, every step would decide the
+	// same, so it is skipped (see stillParked).
+	parked    bool
+	parkStamp uint64
 
 	// histNodes/histMasks are this probe's slice of the distributed History
 	// Store: the mask of outputs already searched, sparse parallel arrays in
@@ -205,8 +212,12 @@ type probe struct {
 	histNodes []topology.Node
 	histMasks []uint32
 
-	// opts is the per-cycle output enumeration, reused across cycles.
-	opts []outOption
+	// opts is the output enumeration at the probe's current position and
+	// arrival channel. It depends on nothing else, so it is computed once
+	// per move: optsFresh is cleared by takeChannel and probeBacktrack, the
+	// only code that moves a probe.
+	opts      []outOption
+	optsFresh bool
 	// prep is the decision precomputed by the parallel compute phase (see
 	// parallel.go); ignored by the serial engine.
 	prep prepState
@@ -264,17 +275,18 @@ type Engine struct {
 	directMap  []int32
 	reverseMap []int32
 
-	// touched[k] is the prep generation (see prepGen) in which channel k's
-	// status or owner last changed; the parallel commit validates precomputed
-	// decisions against it. Nil when the engine runs serially (SetParallel).
-	touched []int64
-	// prepGen increments at every PrepareCount. A decision conflicts exactly
-	// when one of its read channels carries the current generation — i.e. was
-	// mutated after the compute phase began, whether by the wormhole half's
-	// delivery hooks or by an earlier commit in this cycle. Cycle numbers
-	// cannot play this role: hook-driven teardowns fire before the engine's
-	// clock advances to the new cycle.
-	prepGen int64
+	// stamp[k] is the value of the write clock when channel k's status or
+	// owner last changed (markTouched); clock increments at every such write.
+	// Parked Force probes compare stamps against the clock at their last
+	// poll, and the parallel commit against prepStamp, the clock captured at
+	// PrepareCount: a precomputed decision conflicts exactly when one of its
+	// read channels was written after the compute phase began, whether by
+	// the wormhole half's delivery hooks or by an earlier commit in this
+	// cycle. Cycle numbers cannot play this role: hook-driven teardowns fire
+	// before the engine's clock advances to the new cycle.
+	stamp     []uint64
+	clock     uint64
+	prepStamp uint64
 
 	// scratch holds per-worker buffers for the outputs enumeration; index 0
 	// doubles as the serial path's scratch.
@@ -349,6 +361,7 @@ func New(topo topology.Topology, prm Params, host Host) (*Engine, error) {
 		ackRet:     make([]bool, n),
 		directMap:  make([]int32, n),
 		reverseMap: make([]int32, n),
+		stamp:      make([]uint64, n),
 		circuits:   make(map[circuit.ID]*Circuit),
 		scratch:    make([]outScratch, 1),
 	}
@@ -703,8 +716,10 @@ func (e *Engine) getProbe() *probe {
 	p.requestedRelease = false
 	p.waitingFor = Channel{}
 	p.waitingOwner = 0
+	p.parked = false
 	p.tag = 0
 	p.opts = p.opts[:0]
+	p.optsFresh = false
 	p.prep.kind = prepNone
 	p.prep.cycle = -1
 	return p
@@ -1022,21 +1037,18 @@ func (e *Engine) stepProbe(p *probe) bool {
 		return false
 	}
 
+	if e.stillParked(p) {
+		return true
+	}
+	p.parked = false
+
 	// Parallel mode: apply the decision precomputed against the cycle-start
 	// state if no channel it depends on changed earlier in this commit.
 	if handled, keep := e.tryFastCommit(p); handled {
 		return keep
 	}
 
-	opts := p.opts
-	if !e.prepFresh(p) {
-		// Serial engine, or a probe launched after this cycle's compute
-		// phase: enumerate outputs now. A fresh prep's enumeration is still
-		// exact — it depends only on the probe's own position and the
-		// topology, neither of which changed since the compute phase.
-		opts = e.outputs(p, p.opts[:0], &e.scratch[0])
-		p.opts = opts
-	}
+	opts := e.probeOutputs(p, &e.scratch[0])
 	switch p.phase {
 	case probeAdvancing:
 		return e.probeAdvance(p, opts)
@@ -1045,6 +1057,39 @@ func (e *Engine) stepProbe(p *probe) bool {
 	default:
 		panic("pcs: unknown probe phase")
 	}
+}
+
+// probeOutputs returns p's output enumeration, computing it only when the
+// probe has moved since the last call.
+func (e *Engine) probeOutputs(p *probe, sc *outScratch) []outOption {
+	if !p.optsFresh {
+		p.opts = e.outputs(p, p.opts[:0], sc)
+		p.optsFresh = true
+	}
+	return p.opts
+}
+
+// stillParked reports whether p is parked and every channel its stay
+// decision read — the enumerated outputs and the awaited channel — is
+// unwritten since. The stay path has no side effects and the probe's own
+// fields cannot change while it waits, so skipping the step is exact.
+func (e *Engine) stillParked(p *probe) bool {
+	if !p.parked || e.stamp[e.key(p.waitingFor)] > p.parkStamp {
+		return false
+	}
+	for _, o := range p.opts {
+		if e.stamp[e.key(o.ch)] > p.parkStamp {
+			return false
+		}
+	}
+	return true
+}
+
+// park records that p just took the stay path with its release already
+// requested.
+func (e *Engine) park(p *probe) {
+	p.parked = true
+	p.parkStamp = e.clock
 }
 
 // outputs enumerates node n's existing wave-channel outputs on switch sw, in
@@ -1081,11 +1126,9 @@ func (e *Engine) outputs(p *probe, opts []outOption, sc *outScratch) []outOption
 	haveBack := false
 	if len(p.path) > 0 {
 		last := p.path[len(p.path)-1].ch
-		if l, ok := e.topo.LinkByID(last.Link); ok {
-			if rev, ok2 := topology.ReverseLink(e.topo, l); ok2 {
-				backCh = Channel{Link: rev, Switch: p.sw}
-				haveBack = true
-			}
+		if rev, ok := e.topo.ReverseLinkID(last.Link); ok {
+			backCh = Channel{Link: rev, Switch: p.sw}
+			haveBack = true
 		}
 	}
 
@@ -1182,6 +1225,7 @@ func (e *Engine) takeChannel(p *probe, o outOption) {
 	}
 	l, _ := e.topo.LinkByID(o.ch.Link)
 	p.at = l.To
+	p.optsFresh = false
 	p.phase = probeAdvancing
 	p.requestedRelease = false
 	e.Ctr.ControlHops++
@@ -1345,7 +1389,13 @@ func (e *Engine) probeWait(p *probe, opts []outOption) bool {
 	if e.status[wk] != Established || e.owner[wk] != p.waitingOwner {
 		p.requestedRelease = false
 	}
+	requested := p.requestedRelease
 	if e.forceSelectVictim(p, opts, hist) {
+		if requested {
+			// forceSelectVictim took its stay path: no host call, no
+			// register or counter write.
+			e.park(p)
+		}
 		return true
 	}
 	p.phase = probeAdvancing
@@ -1378,6 +1428,7 @@ func (e *Engine) probeBacktrack(p *probe) bool {
 	}
 	l, _ := e.topo.LinkByID(hop.ch.Link)
 	p.at = l.From
+	p.optsFresh = false
 	p.requestedRelease = false
 	e.Ctr.Backtracks++
 	e.Ctr.ControlHops++

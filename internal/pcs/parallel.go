@@ -11,16 +11,17 @@ package pcs
 // serial engine.
 //
 // Commit-time validation makes the optimism safe: every mutation of a
-// channel's status or owner stamps touched[k] with the current cycle, and a
-// precomputed decision is applied only if none of its read channels were
-// stamped earlier in the same commit (by a teardown, an acknowledgment, or
-// an earlier probe). On a conflict — or for any decision with side effects
-// beyond channel state (victim selection through the host, completion
-// callbacks) — the probe re-runs the ordinary serial step, which is the
-// ground truth. Either way the outcome is bit-identical to the serial
-// engine: the fast path is a verbatim replay of what the serial step would
-// do when its inputs are unchanged, and the validation itself runs serially
-// in canonical order, so results do not depend on the worker count.
+// channel's status or owner stamps it with the engine's write clock (the
+// same stamps parked Force probes test), and a precomputed decision is
+// applied only if none of its read channels were stamped after the compute
+// phase began (by a teardown, an acknowledgment, or an earlier probe). On
+// a conflict — or for any decision with side effects beyond channel state
+// (victim selection through the host, completion callbacks) — the probe
+// re-runs the ordinary serial step, which is the ground truth. Either way
+// the outcome is bit-identical to the serial engine: the fast path is a
+// verbatim replay of what the serial step would do when its inputs are
+// unchanged, and the validation itself runs serially in canonical order, so
+// results do not depend on the worker count.
 
 // prepKind classifies the decision precomputed for a probe.
 type prepKind uint8
@@ -49,31 +50,26 @@ type prepState struct {
 	reads []int32 // channel keys the decision depends on (reused)
 }
 
-// markTouched records that channel k's status or owner changed in the
-// current prep generation. It is a no-op in serial mode (touched is nil).
+// markTouched records that channel k's status or owner changed: it advances
+// the write clock and stamps k with it.
 func (e *Engine) markTouched(k int32) {
-	if e.touched != nil {
-		e.touched[k] = e.prepGen
-	}
+	e.clock++
+	e.stamp[k] = e.clock
 }
 
-// SetParallel sizes the per-worker scratch and enables commit validation.
-// Call once, before the first cycle.
+// SetParallel sizes the per-worker scratch. Call once, before the first
+// cycle.
 func (e *Engine) SetParallel(workers int) {
 	if workers < 1 {
 		workers = 1
 	}
 	e.scratch = make([]outScratch, workers)
-	e.touched = make([]int64, len(e.status))
-	for i := range e.touched {
-		e.touched[i] = -1
-	}
 }
 
 // PrepareCount snapshots the probe list for this cycle's compute phase and
 // returns its length. The fabric fans PrepareRange out over [0, count).
 func (e *Engine) PrepareCount() int {
-	e.prepGen++
+	e.prepStamp = e.clock
 	e.prepList = e.probes
 	return len(e.prepList)
 }
@@ -95,11 +91,10 @@ func (e *Engine) prepareProbe(now int64, worker int, p *probe) {
 	pr.kind = prepSlow
 	pr.take = 0
 	pr.reads = pr.reads[:0]
-	if p.at == p.dst {
-		return // circuit registration + ack launch: serial
+	if p.at == p.dst || e.stillParked(p) {
+		return // circuit registration + ack launch, or a parked probe: serial
 	}
-	opts := e.outputs(p, p.opts[:0], &e.scratch[worker])
-	p.opts = opts
+	opts := e.probeOutputs(p, &e.scratch[worker])
 	hist := p.histAt(p.at)
 
 	if p.phase == probeAdvancing {
@@ -183,20 +178,14 @@ func (e *Engine) prepareProbe(now int64, worker int, p *probe) {
 	}
 }
 
-// prepFresh reports whether p carries a decision prepared for the current
-// cycle (and therefore a valid opts enumeration).
-func (e *Engine) prepFresh(p *probe) bool {
-	return p.prep.kind != prepNone && p.prep.cycle == e.now
-}
-
 // tryFastCommit applies a precomputed decision if it survives validation.
 // handled reports whether the step is done; keep mirrors stepProbe's return.
 func (e *Engine) tryFastCommit(p *probe) (handled, keep bool) {
-	if !e.prepFresh(p) || p.prep.kind == prepSlow {
+	if p.prep.kind == prepNone || p.prep.kind == prepSlow || p.prep.cycle != e.now {
 		return false, false
 	}
 	for _, k := range p.prep.reads {
-		if e.touched[k] == e.prepGen {
+		if e.stamp[k] > e.prepStamp {
 			return false, false // conflict: re-run the serial step
 		}
 	}
@@ -205,6 +194,8 @@ func (e *Engine) tryFastCommit(p *probe) (handled, keep bool) {
 		e.takeChannel(p, p.opts[p.prep.take])
 		return true, true
 	case prepStay:
+		// The serial stay path with the release already requested: park.
+		e.park(p)
 		return true, true
 	case prepBacktrack:
 		return true, e.probeBacktrack(p)

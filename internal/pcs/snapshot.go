@@ -206,9 +206,9 @@ func (e *Engine) EncodeState(w *snapshot.Writer) error {
 }
 
 // DecodeState restores state written by EncodeState into an engine built
-// with the same topology and Params. The parallel-validation scratch
-// (touched generations) resets: generation equality is all the fast-commit
-// check reads, so absolute values need not survive the round trip.
+// with the same topology and Params. Channel stamps are not part of the
+// state: restored probes start unparked with no prepared decision, so
+// nothing compares against the stamps before the next write.
 func (e *Engine) DecodeState(r *snapshot.Reader) error {
 	e.now = r.I64()
 
@@ -236,12 +236,6 @@ func (e *Engine) DecodeState(r *snapshot.Reader) error {
 	e.probePool = e.probePool[:0]
 	e.circPool = e.circPool[:0]
 	e.prepList = nil
-	if e.touched != nil {
-		for i := range e.touched {
-			e.touched[i] = -1
-		}
-		e.prepGen = 0
-	}
 
 	ncirc := r.Count(1 << 26)
 	if r.Err() != nil {

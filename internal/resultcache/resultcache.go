@@ -100,12 +100,13 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 }
 
 // Put stores val under key in the memory tier and, when the disk tier is
-// configured, writes it through atomically (temp file + rename). Disk
-// write failures are ignored: the disk tier is an accelerator, not a
+// configured, writes it through atomically (temp file + rename). The disk
+// write comes first, so an entry visible in memory is already on disk.
+// Disk write failures are ignored: the disk tier is an accelerator, not a
 // system of record, and the memory tier stays authoritative.
 func (c *Cache) Put(key string, val []byte) {
-	c.putMemory(key, val)
 	c.writeDisk(key, val)
+	c.putMemory(key, val)
 }
 
 func (c *Cache) putMemory(key string, val []byte) {

@@ -316,3 +316,95 @@ func waitCachePublished(t *testing.T, s *Server, n int) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// parseSpec decodes a JSON job spec for in-process submission.
+func parseSpec(t *testing.T, body string) Spec {
+	t.Helper()
+	var sp Spec
+	if err := json.Unmarshal([]byte(body), &sp); err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
+// TestTwinAfterFlightDroppedHitsCache submits a twin at the instant the
+// leader's flight entry is dropped. The result must already be in the
+// cache there: the twin comes back done at submission and no second
+// simulation runs.
+func TestTwinAfterFlightDroppedHitsCache(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	spec := parseSpec(t, quickSpec(71, 2000))
+	twin := make(chan *Job, 1)
+	s.testHookFlightDropped = func() {
+		s.testHookFlightDropped = nil // fire for the leader only
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Errorf("twin submit: %v", err)
+		}
+		twin <- j
+	}
+	leader, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := <-twin
+	if j == nil {
+		t.FailNow()
+	}
+	if st := j.State(); st != StateDone {
+		t.Fatalf("twin submitted after the flight was dropped is %s, want done from the cache", st)
+	}
+	if !bytes.Equal(fetchResult(t, ts, leader.ID), fetchResult(t, ts, j.ID)) {
+		t.Fatal("twin bytes differ from the leader's")
+	}
+	if got := s.metrics.completed.Load(); got != 1 {
+		t.Fatalf("%d simulations ran, want 1", got)
+	}
+}
+
+// TestFinishedJobSurvivesStoreChurn: with a small store, a long job that
+// finishes while many short jobs come and go is the most recently used
+// record at completion, so its waiting client still fetches its result
+// after further submissions.
+func TestFinishedJobSurvivesStoreChurn(t *testing.T) {
+	const storeCap = 6
+	s, ts := newTestServer(t, Config{Workers: 1, StoreCap: storeCap})
+	hit := parseSpec(t, quickSpec(81, 500))
+	first, err := s.Submit(hit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !first.State().Terminal() {
+		time.Sleep(time.Millisecond)
+	}
+	waitCachePublished(t, s, 1)
+
+	long, err := s.Submit(parseSpec(t, quickSpec(82, 150_000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cache hits churn the store while the long job runs; only terminal
+	// records are evicted, so the long job stays but drifts to the back.
+	for i := 0; !long.State().Terminal(); i++ {
+		if _, err := s.Submit(hit); err != nil {
+			t.Fatal(err)
+		}
+		if i > storeCap {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if long.State() != StateDone {
+		t.Fatalf("long job finished %s", long.State())
+	}
+	// Two more short jobs, then the client that waited on the long job asks
+	// for its result. One submission may have overlapped the completion, so
+	// at most three records are newer than the long job's.
+	for i := 0; i < 2; i++ {
+		if _, err := s.Submit(hit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if resp, body := doReq(t, ts, "GET", "/v1/jobs/"+long.ID+"/result", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("result of the finished long job: status %d %s", resp.StatusCode, body)
+	}
+}

@@ -41,20 +41,20 @@ func (s *Server) execute(j *Job) {
 	case err == nil:
 		raw, merr := json.Marshal(res)
 		if merr != nil {
-			j.finish(StateFailed, nil, "encode result: "+merr.Error(), now)
+			s.store.finish(j, StateFailed, nil, "encode result: "+merr.Error(), now)
 			s.metrics.failed.Add(1)
 			return
 		}
-		j.finish(StateDone, raw, "", now)
+		s.store.finish(j, StateDone, raw, "", now)
 		s.metrics.completed.Add(1)
 	case errors.Is(err, context.Canceled):
-		j.finish(StateCancelled, nil, "cancelled", now)
+		s.store.finish(j, StateCancelled, nil, "cancelled", now)
 		s.metrics.cancelled.Add(1)
 	case errors.Is(err, context.DeadlineExceeded):
-		j.finish(StateFailed, nil, "deadline exceeded after "+timeout.String(), now)
+		s.store.finish(j, StateFailed, nil, "deadline exceeded after "+timeout.String(), now)
 		s.metrics.failed.Add(1)
 	default:
-		j.finish(StateFailed, nil, err.Error(), now)
+		s.store.finish(j, StateFailed, nil, err.Error(), now)
 		s.metrics.failed.Add(1)
 	}
 }

@@ -83,6 +83,11 @@ type Server struct {
 	nextID   atomic.Int64
 	draining atomic.Bool
 
+	// testHookFlightDropped, when set, runs right after completeFlight
+	// drops a flight entry — the point a twin submission must already see
+	// the published result.
+	testHookFlightDropped func()
+
 	wg           sync.WaitGroup
 	shutdownOnce sync.Once
 }
@@ -201,28 +206,35 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 // that joined while the job was live is finished with the leader's exact
 // bytes. A failed or cancelled leader propagates its terminal state to the
 // followers instead, and nothing is cached — errors are not content.
+//
+// The result reaches the cache before the flight entry is dropped, so a
+// twin submitted at any point either joins the flight or hits the cache;
+// it never runs the simulation again.
 func (s *Server) completeFlight(j *Job) {
 	if j.cacheKey == "" {
 		return
 	}
+	_, st, result, errMsg, _ := j.since(0)
 	s.flights.mu.Lock()
 	f := s.flights.m[j.cacheKey]
 	if f == nil || f.leader != j {
 		s.flights.mu.Unlock()
 		return
 	}
-	delete(s.flights.m, j.cacheKey)
-	s.flights.mu.Unlock()
-
-	_, st, result, errMsg, _ := j.since(0)
 	if st == StateDone && result != nil {
 		s.cache.Put(j.cacheKey, result)
 	}
+	delete(s.flights.m, j.cacheKey)
+	s.flights.mu.Unlock()
+	if s.testHookFlightDropped != nil {
+		s.testHookFlightDropped()
+	}
+
 	now := time.Now()
 	for _, fj := range f.followers {
 		// A follower individually cancelled while waiting stays cancelled;
 		// finish is a no-op on terminal jobs.
-		fj.finish(st, result, errMsg, now)
+		s.store.finish(fj, st, result, errMsg, now)
 	}
 }
 

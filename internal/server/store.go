@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // store holds job records by ID with LRU eviction restricted to terminal
@@ -80,6 +81,19 @@ func (st *store) get(id string) (*Job, bool) {
 	st.hits.Add(1)
 	st.l.MoveToFront(e)
 	return e.Value.(*Job), true
+}
+
+// finish turns j terminal and makes it the most recently used record in
+// one step under the store lock: a client waiting on the job's stream
+// fetches /result next, and eviction must never see the job terminal while
+// it is still ranked by its last lookup.
+func (st *store) finish(j *Job, state State, result []byte, errMsg string, now time.Time) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	j.finish(state, result, errMsg, now)
+	if e, ok := st.m[j.ID]; ok {
+		st.l.MoveToFront(e)
+	}
 }
 
 // remove deletes the record (used to back out a rejected submission).

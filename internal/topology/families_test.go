@@ -117,7 +117,7 @@ func TestSlotLayoutInvariants(t *testing.T) {
 func TestReverseLinkInvolution(t *testing.T) {
 	for _, topo := range familyTopos() {
 		for _, l := range AllLinks(topo) {
-			rev, ok := ReverseLink(topo, l)
+			rev, ok := topo.ReverseLinkID(l.ID)
 			if !ok {
 				t.Fatalf("%s: link %d has no reverse", topo.Name(), l.ID)
 			}
@@ -125,7 +125,7 @@ func TestReverseLinkInvolution(t *testing.T) {
 			if !ok || rl.From != l.To || rl.To != l.From {
 				t.Fatalf("%s: reverse of %+v is %+v", topo.Name(), l, rl)
 			}
-			back, ok := ReverseLink(topo, rl)
+			back, ok := topo.ReverseLinkID(rl.ID)
 			if !ok || back != l.ID {
 				t.Fatalf("%s: reverse not an involution: %d -> %d -> %d", topo.Name(), l.ID, rev, back)
 			}

@@ -226,7 +226,7 @@ func (t *FatTree) LinkByID(id LinkID) (Link, bool) {
 	}, true
 }
 
-// ReverseLinkID implements the reverser fast path for ReverseLink.
+// ReverseLinkID implements Topology.
 func (t *FatTree) ReverseLinkID(id LinkID) (LinkID, bool) {
 	if id < 0 || int(id) >= t.slots {
 		return Invalid, false

@@ -88,7 +88,7 @@ func (m *FullMesh) LinkByID(id LinkID) (Link, bool) {
 	return Link{ID: id, From: Node(from), To: Node(to), Dim: 0, Dir: Plus}, true
 }
 
-// ReverseLinkID implements the reverser fast path for ReverseLink.
+// ReverseLinkID implements Topology.
 func (m *FullMesh) ReverseLinkID(id LinkID) (LinkID, bool) {
 	l, ok := m.LinkByID(id)
 	if !ok {

@@ -104,6 +104,11 @@ type Topology interface {
 	// NumLinkSlots returns the total slot count (the sum of OutDegree over
 	// all nodes), the size of dense per-link arrays.
 	NumLinkSlots() int
+	// ReverseLinkID returns the link slot running opposite to link id (from
+	// its To back to its From), used by the probe engine to exclude
+	// immediate U-turns. Every family has symmetric links, so ok is false
+	// only for phantom slots and out-of-range IDs.
+	ReverseLinkID(id LinkID) (LinkID, bool)
 	// Distance returns the minimal hop count between a and b.
 	Distance(a, b Node) int
 	// Diameter returns the maximum Distance over host pairs — the hop bound
@@ -154,13 +159,40 @@ type Geometry interface {
 // It implements Topology. A hypercube is NewHypercube(n) = 2-ary n-cube
 // without wrap (with radix 2 the two directions coincide, so mesh form
 // avoids double links).
+//
+// Coordinate and link-slot queries are table loads: NewCube runs the
+// closed-form coordinate arithmetic once and stores each node's coordinates
+// and each link slot's endpoints, reverse slot and labels. The tables cost
+// 16 bytes per slot plus 4 bytes per coordinate — about 18 KiB at 16x16 and
+// 1.1 MiB at 128x128.
 type Cube struct {
-	radix  []int
-	wrap   bool
-	nodes  int
-	stride []int // stride[d] = product of radix[0..d-1]
-	name   string
+	radix []int
+	wrap  bool
+	nodes int
+	name  string
+	// coords[n*dims+d] is node n's coordinate along dimension d.
+	coords []int32
+	// slots[id] describes link slot id, phantom mesh-boundary slots
+	// included (exists == false).
+	slots []cubeSlot
 }
+
+// cubeSlot is one precomputed link slot: 16 bytes, so four share a cache
+// line.
+type cubeSlot struct {
+	from, to int32
+	// rev is the slot running opposite (from to back to from), Invalid for
+	// phantom slots.
+	rev    int32
+	dim    uint8
+	dir    uint8
+	exists bool
+	wrap   bool
+}
+
+// maxCubeSlots bounds the slot tables: slot and node numbers are stored as
+// int32.
+const maxCubeSlots = 1<<31 - 1
 
 // NewCube constructs a k-ary n-cube. radix lists the nodes per dimension
 // (all >= 2); wrap selects torus (true) or mesh (false).
@@ -175,6 +207,9 @@ func NewCube(radix []int, wrap bool) (*Cube, error) {
 			return nil, fmt.Errorf("topology: dimension %d has radix %d, need >= 2", d, k)
 		}
 		stride[d] = nodes
+		if nodes > maxCubeSlots/(2*len(radix))/k {
+			return nil, fmt.Errorf("topology: radix %v exceeds %d link slots", radix, maxCubeSlots)
+		}
 		nodes *= k
 	}
 	kind := "mesh"
@@ -197,7 +232,52 @@ func NewCube(radix []int, wrap bool) (*Cube, error) {
 		}
 		name = fmt.Sprintf("%s %s", strings.Join(parts, "x"), kind)
 	}
-	return &Cube{radix: append([]int(nil), radix...), wrap: wrap, nodes: nodes, stride: stride, name: name}, nil
+	c := &Cube{radix: append([]int(nil), radix...), wrap: wrap, nodes: nodes, name: name}
+	c.buildTables(stride)
+	return c, nil
+}
+
+// buildTables fills the coordinate and slot tables from the closed-form
+// arithmetic: the only place the cube divides by its radixes.
+func (c *Cube) buildTables(stride []int) {
+	dims := len(c.radix)
+	c.coords = make([]int32, c.nodes*dims)
+	for n := 0; n < c.nodes; n++ {
+		v := n
+		for d, k := range c.radix {
+			c.coords[n*dims+d] = int32(v % k)
+			v /= k
+		}
+	}
+	per := 2 * dims
+	c.slots = make([]cubeSlot, c.nodes*per)
+	for n := 0; n < c.nodes; n++ {
+		for dim, k := range c.radix {
+			x := int(c.coords[n*dims+dim])
+			for dir := Plus; dir <= Minus; dir++ {
+				s := &c.slots[n*per+2*dim+int(dir)]
+				s.from = int32(n)
+				s.dim = uint8(dim)
+				s.dir = uint8(dir)
+				s.rev = int32(Invalid)
+				nx := x + 1
+				if dir == Minus {
+					nx = x - 1
+				}
+				if nx == k || nx < 0 {
+					if !c.wrap {
+						continue
+					}
+					nx = (nx + k) % k
+					s.wrap = true
+				}
+				to := n + (nx-x)*stride[dim]
+				s.to = int32(to)
+				s.rev = int32(to*per + 2*dim + int(dir.Opposite()))
+				s.exists = true
+			}
+		}
+	}
 }
 
 // MustCube is NewCube that panics on error, for tests and fixed configs.
@@ -250,7 +330,8 @@ func (c *Cube) OutSlot(n Node, port int) (LinkID, bool) {
 	if port < 0 || port >= 2*len(c.radix) {
 		return Invalid, false
 	}
-	return c.OutLink(n, port/2, Dir(port%2))
+	id := int(n)*2*len(c.radix) + port
+	return LinkID(id), c.slots[id].exists
 }
 
 // Diameter implements Topology: the closed form sum over dimensions of
@@ -281,12 +362,11 @@ func (c *Cube) Name() string { return c.name }
 
 // Coord implements Topology.
 func (c *Cube) Coord(n Node, out []int) []int {
-	v := int(n)
-	for d, k := range c.radix {
-		out[d] = v % k
-		v /= k
+	dims := len(c.radix)
+	for d, x := range c.coords[int(n)*dims : int(n)*dims+dims] {
+		out[d] = int(x)
 	}
-	return out[:len(c.radix)]
+	return out[:dims]
 }
 
 // NodeAt implements Topology.
@@ -300,64 +380,46 @@ func (c *Cube) NodeAt(coord []int) Node {
 
 // CoordAlong implements Topology without allocating.
 func (c *Cube) CoordAlong(n Node, d int) int {
-	return (int(n) / c.stride[d]) % c.radix[d]
+	return int(c.coords[int(n)*len(c.radix)+d])
 }
 
-// coordAlong is the internal alias of CoordAlong.
-func (c *Cube) coordAlong(n Node, d int) int { return c.CoordAlong(n, d) }
+// slot returns the table entry of n's outgoing slot along (dim, dir).
+func (c *Cube) slot(n Node, dim int, dir Dir) *cubeSlot {
+	return &c.slots[int(n)*2*len(c.radix)+2*dim+int(dir)]
+}
 
 // Neighbor implements Topology.
 func (c *Cube) Neighbor(n Node, dim int, dir Dir) (Node, bool) {
-	x := c.coordAlong(n, dim)
-	k := c.radix[dim]
-	var nx int
-	if dir == Plus {
-		nx = x + 1
-		if nx == k {
-			if !c.wrap {
-				return 0, false
-			}
-			nx = 0
-		}
-	} else {
-		nx = x - 1
-		if nx < 0 {
-			if !c.wrap {
-				return 0, false
-			}
-			nx = k - 1
-		}
-	}
-	return n + Node((nx-x)*c.stride[dim]), true
+	s := c.slot(n, dim, dir)
+	return Node(s.to), s.exists
 }
 
 // OutLink implements Topology.
 func (c *Cube) OutLink(n Node, dim int, dir Dir) (LinkID, bool) {
-	id := LinkID(int(n)*2*len(c.radix) + 2*dim + int(dir))
-	_, ok := c.Neighbor(n, dim, dir)
-	return id, ok
+	return LinkID(int(n)*2*len(c.radix) + 2*dim + int(dir)), c.slot(n, dim, dir).exists
 }
 
 // NumLinkSlots implements Topology.
-func (c *Cube) NumLinkSlots() int { return c.nodes * 2 * len(c.radix) }
+func (c *Cube) NumLinkSlots() int { return len(c.slots) }
 
 // LinkByID implements Topology.
 func (c *Cube) LinkByID(id LinkID) (Link, bool) {
-	if id < 0 || int(id) >= c.NumLinkSlots() {
+	if id < 0 || int(id) >= len(c.slots) {
 		return Link{}, false
 	}
-	per := 2 * len(c.radix)
-	n := Node(int(id) / per)
-	rest := int(id) % per
-	dim := rest / 2
-	dir := Dir(rest % 2)
-	to, ok := c.Neighbor(n, dim, dir)
-	if !ok {
+	s := &c.slots[id]
+	if !s.exists {
 		return Link{}, false
 	}
-	x := c.coordAlong(n, dim)
-	wrapLink := c.wrap && ((dir == Plus && x == c.radix[dim]-1) || (dir == Minus && x == 0))
-	return Link{ID: id, From: n, To: to, Dim: dim, Dir: dir, Wrap: wrapLink}, true
+	return Link{ID: id, From: Node(s.from), To: Node(s.to), Dim: int(s.dim), Dir: Dir(s.dir), Wrap: s.wrap}, true
+}
+
+// ReverseLinkID implements Topology.
+func (c *Cube) ReverseLinkID(id LinkID) (LinkID, bool) {
+	if id < 0 || int(id) >= len(c.slots) || !c.slots[id].exists {
+		return Invalid, false
+	}
+	return LinkID(c.slots[id].rev), true
 }
 
 // Distance implements Topology.
@@ -373,8 +435,8 @@ func (c *Cube) Distance(a, b Node) int {
 // Positive means travel in Plus. On tori, ties (distance exactly k/2 with k
 // even) resolve to Plus so that routing is deterministic.
 func (c *Cube) offsetAlong(a, b Node, dim int) int {
-	xa := c.coordAlong(a, dim)
-	xb := c.coordAlong(b, dim)
+	xa := c.CoordAlong(a, dim)
+	xb := c.CoordAlong(b, dim)
 	diff := xb - xa
 	if !c.wrap {
 		return diff
@@ -412,35 +474,6 @@ func AllLinks(t Topology) []Link {
 		}
 	}
 	return links
-}
-
-// reverser is the optional fast path for ReverseLink: families with
-// irregular port layouts precompute the reverse mapping at construction.
-type reverser interface {
-	ReverseLinkID(id LinkID) (LinkID, bool)
-}
-
-// ReverseLink returns the link slot running opposite to l (from l.To back to
-// l.From), used by the probe engine to exclude immediate U-turns. Every
-// family shipped here has symmetric links, so ok is false only for malformed
-// input.
-func ReverseLink(t Topology, l Link) (LinkID, bool) {
-	if r, ok := t.(reverser); ok {
-		return r.ReverseLinkID(l.ID)
-	}
-	if g, ok := t.(Geometry); ok {
-		return g.OutLink(l.To, l.Dim, l.Dir.Opposite())
-	}
-	for port := 0; port < t.OutDegree(l.To); port++ {
-		id, ok := t.OutSlot(l.To, port)
-		if !ok {
-			continue
-		}
-		if ll, ok2 := t.LinkByID(id); ok2 && ll.To == l.From {
-			return id, true
-		}
-	}
-	return Invalid, false
 }
 
 func absInt(v int) int {

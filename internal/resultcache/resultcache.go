@@ -84,9 +84,10 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	if e, ok := c.m[key]; ok {
 		c.l.MoveToFront(e)
+		val := e.Value.(*entry).val // putMemory may replace it once unlocked
 		c.mu.Unlock()
 		c.hits.Add(1)
-		return e.Value.(*entry).val, true
+		return val, true
 	}
 	c.mu.Unlock()
 	if b, ok := c.readDisk(key); ok {

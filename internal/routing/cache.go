@@ -2,6 +2,7 @@ package routing
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/topology"
 )
@@ -166,22 +167,34 @@ func WithTableCached(fn Func, topo topology.Topology, maxNodes int) Func {
 
 // Channel dependency graphs are pure functions of the same shape key: BuildCDG
 // walks Nodes^2 injection pairs plus every reachable (channel, destination)
-// state and dedups edges through a per-build map — costly enough that the
-// verification endpoint must not pay it again for every repeated /v1/verify
-// call or matrix sweep over the same configuration. A built CDG is immutable
-// (the prover only reads adjacency), so sharing one instance is free.
+// state — costly enough that the verification endpoint must not pay it again
+// for every repeated /v1/verify call or matrix sweep over the same
+// configuration. A built CDG is immutable (the prover only reads adjacency
+// and delivery facts), so sharing one instance is free.
 
 const cdgCacheMax = 32
 
+// cdgFlight is one cache entry: done closes once g is built, so a caller
+// that finds the entry in flight waits for that build instead of walking
+// the same states again. g stays nil if the build panicked.
+type cdgFlight struct {
+	done chan struct{}
+	g    *CDG
+}
+
 var (
 	cdgCacheMu sync.Mutex
-	cdgCache   = make(map[tableKey]*CDG)
+	cdgCache   = make(map[tableKey]*cdgFlight)
+	// cdgWalkHook, when set, observes every BuildCDG walk.
+	cdgWalkHook atomic.Pointer[func(fnName string)]
 )
 
 // BuildCDGCached is BuildCDG with memoization on the same shape key as the
 // routing-table cache: (topology name, node count, function name, VC count).
-// Safe for concurrent callers; the bound resets the cache rather than letting
-// pathological shape churn grow it without limit.
+// Safe for concurrent callers: each key is built once while callers for the
+// same key wait for it, and distinct keys build concurrently. The bound
+// resets the cache rather than letting pathological shape churn grow it
+// without limit.
 func BuildCDGCached(topo topology.Topology, fn Func) *CDG {
 	key := tableKey{
 		topoName: topo.Name(),
@@ -189,15 +202,63 @@ func BuildCDGCached(topo topology.Topology, fn Func) *CDG {
 		fnName:   fn.Name(),
 		numVCs:   fn.NumVCs(),
 	}
+	for {
+		cdgCacheMu.Lock()
+		f, ok := cdgCache[key]
+		if !ok {
+			if len(cdgCache) >= cdgCacheMax {
+				clear(cdgCache)
+			}
+			f = &cdgFlight{done: make(chan struct{})}
+			cdgCache[key] = f
+		}
+		cdgCacheMu.Unlock()
+		if !ok {
+			return f.build(key, topo, fn)
+		}
+		<-f.done
+		if f.g != nil {
+			return f.g
+		}
+		// The build this caller waited for panicked; retry under a new entry.
+	}
+}
+
+// build walks the graph for a new cache entry and releases its waiters. A
+// panicking build leaves the cache, so the next caller walks afresh.
+func (f *cdgFlight) build(key tableKey, topo topology.Topology, fn Func) *CDG {
+	defer func() {
+		if f.g == nil {
+			cdgCacheMu.Lock()
+			if cdgCache[key] == f {
+				delete(cdgCache, key)
+			}
+			cdgCacheMu.Unlock()
+		}
+		close(f.done)
+	}()
+	f.g = BuildCDG(topo, fn)
+	return f.g
+}
+
+// ResetCDGCache drops every memoized dependency graph, so the next
+// BuildCDGCached call for any shape walks cold. For tests and benchmarks.
+func ResetCDGCache() {
 	cdgCacheMu.Lock()
-	defer cdgCacheMu.Unlock()
-	if g, ok := cdgCache[key]; ok {
-		return g
+	clear(cdgCache)
+	cdgCacheMu.Unlock()
+}
+
+// SetCDGWalkHook installs h to be called with the routing function's name at
+// the start of every BuildCDG walk, and returns the hook it replaces; nil
+// removes it. For tests and benchmarks that count walks.
+func SetCDGWalkHook(h func(fnName string)) func(fnName string) {
+	var p *func(string)
+	if h != nil {
+		p = &h
 	}
-	g := BuildCDG(topo, fn)
-	if len(cdgCache) >= cdgCacheMax {
-		clear(cdgCache)
+	if old := cdgWalkHook.Swap(p); old != nil {
+		return *old
 	}
-	cdgCache[key] = g
-	return g
+	return nil
 }

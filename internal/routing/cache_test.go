@@ -2,7 +2,9 @@ package routing
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/topology"
 )
@@ -219,9 +221,7 @@ func TestTableCacheByteBudget(t *testing.T) {
 // any difference gets its own, and a cached graph is structurally identical
 // to a fresh build.
 func TestBuildCDGCached(t *testing.T) {
-	cdgCacheMu.Lock()
-	clear(cdgCache)
-	cdgCacheMu.Unlock()
+	ResetCDGCache()
 
 	topo := topology.MustCube([]int{4, 4}, true)
 	fn, err := New("dor", topo, 2)
@@ -282,4 +282,115 @@ func TestBuildCDGCachedConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestBuildCDGCachedSingleFlight: callers that arrive while a shape is being
+// built wait for that build; the walk runs once and all share its graph.
+func TestBuildCDGCachedSingleFlight(t *testing.T) {
+	ResetCDGCache()
+	topo := topology.MustCube([]int{6, 6}, true)
+	fn, err := New("duato", topo, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walks atomic.Int32
+	release := make(chan struct{})
+	defer SetCDGWalkHook(SetCDGWalkHook(func(string) {
+		walks.Add(1)
+		<-release
+	}))
+
+	const callers = 8
+	graphs := make([]*CDG, callers)
+	var wg sync.WaitGroup
+	for i := range graphs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			graphs[i] = BuildCDGCached(topo, fn)
+		}()
+	}
+	time.Sleep(20 * time.Millisecond) // let the twins reach the in-flight entry
+	close(release)
+	wg.Wait()
+	if n := walks.Load(); n != 1 {
+		t.Fatalf("%d concurrent callers walked %d times, want 1", callers, n)
+	}
+	for i, g := range graphs {
+		if g == nil || g != graphs[0] {
+			t.Fatalf("caller %d got graph %p, caller 0 got %p", i, g, graphs[0])
+		}
+	}
+}
+
+// TestBuildCDGCachedDistinctKeysConcurrent: two shapes build at the same
+// time. The first walk does not finish until the second has started, which
+// a cache holding one lock across a whole build can never allow.
+func TestBuildCDGCachedDistinctKeysConcurrent(t *testing.T) {
+	ResetCDGCache()
+	topo := topology.MustCube([]int{4, 4}, true)
+	dor, err := New("dor", topo, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	duato, err := New("duato", topo, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dorStarted, duatoStarted := make(chan struct{}), make(chan struct{})
+	var overlapped atomic.Bool
+	defer SetCDGWalkHook(SetCDGWalkHook(func(name string) {
+		switch name {
+		case dor.Name():
+			close(dorStarted)
+			select {
+			case <-duatoStarted:
+				overlapped.Store(true)
+			case <-time.After(5 * time.Second):
+			}
+		case duato.Name():
+			close(duatoStarted)
+		}
+	}))
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		BuildCDGCached(topo, dor)
+	}()
+	<-dorStarted
+	BuildCDGCached(topo, duato)
+	wg.Wait()
+	if !overlapped.Load() {
+		t.Fatal("the second shape did not start building while the first was in flight")
+	}
+}
+
+// TestBuildCDGCachedPanicReleasesWaiters: a build that panics leaves no
+// entry behind, so the next caller walks again instead of waiting forever.
+func TestBuildCDGCachedPanicReleasesWaiters(t *testing.T) {
+	ResetCDGCache()
+	topo := topology.MustCube([]int{4, 4}, true)
+	fn, err := New("dor", topo, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walks atomic.Int32
+	defer SetCDGWalkHook(SetCDGWalkHook(func(string) {
+		if walks.Add(1) == 1 {
+			panic("injected build failure")
+		}
+	}))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("injected panic did not surface")
+			}
+		}()
+		BuildCDGCached(topo, fn)
+	}()
+	if BuildCDGCached(topo, fn) == nil || walks.Load() != 2 {
+		t.Fatalf("after a failed build: %d walks, want a second successful one", walks.Load())
+	}
 }

@@ -18,6 +18,8 @@ type CDG struct {
 	slots  int
 	// adj[v] lists the vertices v depends on (may wait for).
 	adj [][]int32
+	// delivery holds the facts the building walk recorded.
+	delivery Delivery
 }
 
 // vertexID packs (link, vc).
@@ -63,57 +65,102 @@ func (g *CDG) VertexName(v int32, topo topology.Topology) string {
 	return fmt.Sprintf("link#%d vc%d", link, vc)
 }
 
+// Delivery holds what BuildCDG's reachable-state walk learns about message
+// delivery on the way: the facts the livelock proof (Theorems 3-4) and the
+// connectivity half of Duato's condition rest on.
+type Delivery struct {
+	// Stuck reports a reachable undelivered state with no candidates; the
+	// first one in walk order is kept (injections come before transit).
+	Stuck bool
+	// At and Dst place the stuck message; Held is the channel vertex it
+	// occupies, or -1 when it has no candidates at injection.
+	At, Dst topology.Node
+	Held    int32
+	// Monotone reports that every reachable candidate hop strictly
+	// decreases Distance to the destination.
+	Monotone bool
+}
+
+// Delivery returns the delivery facts recorded by the walk that built g.
+func (g *CDG) Delivery() Delivery { return g.delivery }
+
 // BuildCDG enumerates every dependency the routing function can create on the
 // topology. Dependencies come only from *reachable* routing states: a
 // (channel, destination) pair contributes edges only if some message with
 // that destination can actually occupy that channel, which is established by
 // forward traversal from every injection point. Enumerating unreachable
 // states (e.g. a header sitting one hop past its own destination) would
-// manufacture dependencies no execution exhibits.
+// manufacture dependencies no execution exhibits. The same walk records the
+// graph's Delivery facts, so no caller has to walk the states again.
 func BuildCDG(topo topology.Topology, fn Func) *CDG {
+	if h := cdgWalkHook.Load(); h != nil {
+		(*h)(fn.Name())
+	}
 	g := &CDG{numVCs: fn.NumVCs(), slots: topo.NumLinkSlots()}
 	g.adj = make([][]int32, g.slots*g.numVCs)
-	seenEdge := make(map[int64]bool)
-	addEdge := func(from, to int32) {
-		key := int64(from)<<32 | int64(uint32(to))
-		if seenEdge[key] {
-			return
-		}
-		seenEdge[key] = true
-		g.adj[from] = append(g.adj[from], to)
-	}
+	g.delivery.Monotone = true
+	hosts := topo.Hosts()
 
-	// state = (occupied channel vertex, destination).
+	// A state is a message bound for host dst occupying channel vertex v;
+	// dist is Distance from the channel's sink to dst, carried so a hop
+	// costs one Distance call. seen holds one bit per state, v*hosts+dst.
 	type state struct {
-		v   int32
-		dst topology.Node
+		v, dst, dist int32
 	}
-	seenState := make(map[state]bool)
+	seen := make([]uint64, (len(g.adj)*hosts+63)/64)
 	var stack []state
 	var cands []Candidate
+
+	stuck := func(at, dst topology.Node, held int32) {
+		if !g.delivery.Stuck {
+			g.delivery.Stuck, g.delivery.At, g.delivery.Dst, g.delivery.Held = true, at, dst, held
+		}
+	}
+	// take records that a message at distance here from dst may take c:
+	// the hop's progress, and the state it reaches if that is new.
+	take := func(dst topology.Node, here int32, c Candidate) int32 {
+		to := g.vertexID(c.Link, c.VC)
+		dist := int32(-1)
+		if g.delivery.Monotone {
+			if l, ok := topo.LinkByID(c.Link); ok {
+				dist = int32(topo.Distance(l.To, dst))
+				if dist >= here {
+					g.delivery.Monotone = false
+				}
+			}
+		}
+		bit := int(to)*hosts + int(dst)
+		if seen[bit>>6]&(1<<(bit&63)) == 0 {
+			seen[bit>>6] |= 1 << (bit & 63)
+			stack = append(stack, state{v: to, dst: int32(dst), dist: dist})
+		}
+		return to
+	}
 
 	// Seed: every injected (src, dst) pair reaches its first-hop channels.
 	// Messages originate and terminate at hosts (on cubes every node is a
 	// host; on fat trees the switches never inject), so seeding ranges over
 	// host pairs.
-	for src := topology.Node(0); int(src) < topo.Hosts(); src++ {
-		for dst := topology.Node(0); int(dst) < topo.Hosts(); dst++ {
+	for src := topology.Node(0); int(src) < hosts; src++ {
+		for dst := topology.Node(0); int(dst) < hosts; dst++ {
 			if src == dst {
 				continue
 			}
 			cands = fn.Candidates(src, dst, topology.Invalid, 0, cands[:0])
+			if len(cands) == 0 {
+				stuck(src, dst, -1)
+				continue
+			}
+			here := int32(topo.Distance(src, dst))
 			for _, c := range cands {
-				s := state{v: g.vertexID(c.Link, c.VC), dst: dst}
-				if !seenState[s] {
-					seenState[s] = true
-					stack = append(stack, s)
-				}
+				take(dst, here, c)
 			}
 		}
 	}
 	// Propagate: a message on channel (link, vc) bound for dst requests the
 	// candidates at the link's sink; each is both a dependency edge and a
-	// newly reachable state.
+	// newly reachable state. Edges are deduplicated by scanning the short
+	// adjacency list, which keeps them in first-discovery order.
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -123,18 +170,23 @@ func BuildCDG(topo topology.Topology, fn Func) *CDG {
 		if !ok {
 			continue
 		}
-		if l.To == s.dst {
+		dst := topology.Node(s.dst)
+		if l.To == dst {
 			continue // delivered; no further dependencies
 		}
-		cands = fn.Candidates(l.To, s.dst, link, vc, cands[:0])
+		cands = fn.Candidates(l.To, dst, link, vc, cands[:0])
+		if len(cands) == 0 {
+			stuck(l.To, dst, s.v)
+		}
+	edges:
 		for _, c := range cands {
-			to := g.vertexID(c.Link, c.VC)
-			addEdge(s.v, to)
-			ns := state{v: to, dst: s.dst}
-			if !seenState[ns] {
-				seenState[ns] = true
-				stack = append(stack, ns)
+			to := take(dst, s.dist, c)
+			for _, w := range g.adj[s.v] {
+				if w == to {
+					continue edges
+				}
 			}
+			g.adj[s.v] = append(g.adj[s.v], to)
 		}
 	}
 	return g
@@ -313,26 +365,26 @@ func Reachability(topo topology.Topology, fn Func) error {
 	return nil
 }
 
-// Stats summarises a CDG for reporting.
+// Stats summarises a CDG for reporting: the channels that take part in a
+// dependency, the dependencies and the largest out-degree.
 func (g *CDG) Stats() (vertices, edges int, maxOut int) {
-	for _, a := range g.adj {
-		if len(a) > 0 {
-			edges += len(a)
-		}
-		if len(a) > maxOut {
-			maxOut = len(a)
-		}
-	}
-	used := make(map[int32]bool)
+	used := make([]bool, len(g.adj))
 	for v, a := range g.adj {
+		edges += len(a)
+		maxOut = max(maxOut, len(a))
 		if len(a) > 0 {
-			used[int32(v)] = true
+			used[v] = true
 		}
 		for _, w := range a {
 			used[w] = true
 		}
 	}
-	return len(used), edges, maxOut
+	for _, u := range used {
+		if u {
+			vertices++
+		}
+	}
+	return vertices, edges, maxOut
 }
 
 // SortedAdjacency returns a deterministic rendering of the graph edges for

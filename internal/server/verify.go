@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -32,9 +33,19 @@ func (e *UncertifiableError) Error() string {
 const verdictCacheMax = 64
 
 // verdictCache memoizes certificates by canonical effective configuration.
+// An entry is installed before its proof starts, so a concurrent twin waits
+// for that one proof instead of repeating it.
 type verdictCache struct {
 	mu sync.Mutex
-	m  map[string]*verify.Certificate
+	m  map[string]*verdict
+}
+
+// verdict is one cache entry: done closes once cert or err is set. An entry
+// whose proof failed leaves the map, so a later call tries again.
+type verdict struct {
+	done chan struct{}
+	cert *verify.Certificate
+	err  error
 }
 
 // certifyConfig proves the effective simulator configuration (plus
@@ -42,7 +53,8 @@ type verdictCache struct {
 // InjectFaults seed) and caches the verdict. An error means the
 // configuration is malformed (bad topology, unknown routing, VCs below the
 // function's minimum); an uncertified configuration comes back as a
-// certificate with Certified == false.
+// certificate with Certified == false. A call that finds the configuration
+// cached or being proven counts as a verdict-cache hit.
 func (s *Server) certifyConfig(cfg wave.Config, staticFaults int) (*verify.Certificate, error) {
 	// Same canonical addressing as the result cache (resultcache.Key):
 	// struct-order-stable JSON hashed to a fixed-width digest, so any two
@@ -55,13 +67,38 @@ func (s *Server) certifyConfig(cfg wave.Config, staticFaults int) (*verify.Certi
 		return nil, fmt.Errorf("canonicalize config: %w", err)
 	}
 	s.verdicts.mu.Lock()
-	if cert, ok := s.verdicts.m[key]; ok {
+	if v, ok := s.verdicts.m[key]; ok {
 		s.verdicts.mu.Unlock()
+		<-v.done
+		if v.cert == nil {
+			return nil, v.err
+		}
 		s.metrics.verifyCacheHits.Add(1)
-		return cert, nil
+		return v.cert, nil
 	}
+	if s.verdicts.m == nil || len(s.verdicts.m) >= verdictCacheMax {
+		s.verdicts.m = make(map[string]*verdict)
+	}
+	v := &verdict{done: make(chan struct{}), err: errors.New("certification aborted")}
+	s.verdicts.m[key] = v
 	s.verdicts.mu.Unlock()
 
+	defer func() {
+		if v.cert == nil {
+			s.verdicts.mu.Lock()
+			if s.verdicts.m[key] == v {
+				delete(s.verdicts.m, key)
+			}
+			s.verdicts.mu.Unlock()
+		}
+		close(v.done)
+	}()
+	v.cert, v.err = s.prove(cfg, staticFaults)
+	return v.cert, v.err
+}
+
+// prove certifies one configuration and counts the verdict.
+func (s *Server) prove(cfg wave.Config, staticFaults int) (*verify.Certificate, error) {
 	topo, err := cfg.Topology.Build()
 	if err != nil {
 		return nil, err
@@ -101,15 +138,6 @@ func (s *Server) certifyConfig(cfg wave.Config, staticFaults int) (*verify.Certi
 	} else {
 		s.metrics.verifyRejected.Add(1)
 	}
-	s.verdicts.mu.Lock()
-	if s.verdicts.m == nil {
-		s.verdicts.m = make(map[string]*verify.Certificate)
-	}
-	if len(s.verdicts.m) >= verdictCacheMax {
-		s.verdicts.m = make(map[string]*verify.Certificate)
-	}
-	s.verdicts.m[key] = cert
-	s.verdicts.mu.Unlock()
 	return cert, nil
 }
 

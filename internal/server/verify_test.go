@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/routing"
 	"repro/internal/verify"
 	"repro/wave"
 )
@@ -173,5 +176,66 @@ func TestExperimentSpecNotGated(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 1})
 	if err := s.certifySpec(&Spec{Kind: KindExperiment, Experiment: "e16"}); err != nil {
 		t.Fatalf("experiment spec gated: %v", err)
+	}
+}
+
+// TestVerdictSingleFlight: twins that arrive while a configuration is being
+// proven wait for that proof and count as verdict-cache hits, so N
+// concurrent submissions of one configuration cost one certification.
+func TestVerdictSingleFlight(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	cfg := wave.DefaultConfig()
+	cfg.Topology = wave.TopologyConfig{Kind: "torus", Radix: []int{6, 6}}
+
+	routing.ResetCDGCache()
+	release := make(chan struct{})
+	defer routing.SetCDGWalkHook(routing.SetCDGWalkHook(func(string) { <-release }))
+
+	const twins = 6
+	certs := make([]*verify.Certificate, twins)
+	errs := make([]error, twins)
+	var wg sync.WaitGroup
+	for i := range certs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			certs[i], errs[i] = s.certifyConfig(cfg, 0)
+		}()
+	}
+	time.Sleep(20 * time.Millisecond) // let the twins find the proof in flight
+	close(release)
+	wg.Wait()
+	for i := range certs {
+		if errs[i] != nil || certs[i] != certs[0] {
+			t.Fatalf("twin %d: cert %p err %v, twin 0 got %p", i, certs[i], errs[i], certs[0])
+		}
+	}
+	if got := s.metrics.verifyCertified.Load(); got != 1 {
+		t.Fatalf("%d concurrent twins ran %d certifications, want 1", twins, got)
+	}
+	if got := s.metrics.verifyCacheHits.Load(); got != twins-1 {
+		t.Fatalf("verdict-cache hits = %d, want %d", got, twins-1)
+	}
+}
+
+// TestVerdictErrorNotCached: a malformed configuration is an error every
+// time and leaves no entry behind.
+func TestVerdictErrorNotCached(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	cfg := wave.DefaultConfig()
+	cfg.Routing = "nope"
+	for i := 0; i < 2; i++ {
+		if _, err := s.certifyConfig(cfg, 0); err == nil {
+			t.Fatalf("call %d: unknown routing certified", i)
+		}
+	}
+	if hits := s.metrics.verifyCacheHits.Load(); hits != 0 {
+		t.Fatalf("failed proof counted %d cache hits", hits)
+	}
+	s.verdicts.mu.Lock()
+	n := len(s.verdicts.m)
+	s.verdicts.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d verdict entries left after failed proofs", n)
 	}
 }

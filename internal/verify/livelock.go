@@ -26,10 +26,10 @@ type deliveryProof struct {
 	cycle []string
 }
 
-// proveDelivery enumerates every reachable routing state — exactly the
-// state space BuildCDG walks: (occupied channel, destination) pairs seeded
-// from all injections — and proves that any message following any sequence
-// of the function's candidates reaches its destination in bounded hops:
+// proveDelivery proves, from the facts BuildCDG recorded while walking g's
+// reachable routing states — (occupied channel, destination) pairs seeded
+// from all injections — that any message following any sequence of fn's
+// candidates reaches its destination in bounded hops:
 //
 //   - every reachable undelivered state offers at least one candidate
 //     (no stuck states: the function is connected), and
@@ -37,91 +37,19 @@ type deliveryProof struct {
 //     that, the per-destination state graph is acyclic (bounded paths).
 //
 // Either way arbitration cannot starve the message forever: there are no
-// infinite candidate walks, so the last flit leaves in finite time.
-func proveDelivery(topo topology.Topology, fn routing.Func) deliveryProof {
-	numVCs := fn.NumVCs()
-	nodes := topo.Nodes()
-	verts := topo.NumLinkSlots() * numVCs
-
-	// Dense reachability over (channel vertex, destination); -1 = unseen.
-	// stateEdges holds the per-destination successor lists for the acyclic
-	// fallback; filled only once a non-minimal hop is observed, to keep the
-	// common monotone case allocation-light.
-	seen := make([]bool, verts*nodes)
-	type st struct {
-		v   int32
-		dst topology.Node
-	}
-	var stack []st
-	var cands []routing.Candidate
-	monotone := true
-
-	checkHop := func(here topology.Node, dst topology.Node, c routing.Candidate) bool {
-		l, ok := topo.LinkByID(c.Link)
-		if !ok {
-			return false
-		}
-		if topo.Distance(l.To, dst) >= topo.Distance(here, dst) {
-			monotone = false
-		}
-		return true
-	}
-
-	push := func(v int32, dst topology.Node) {
-		idx := int(v)*nodes + int(dst)
-		if !seen[idx] {
-			seen[idx] = true
-			stack = append(stack, st{v: v, dst: dst})
-		}
-	}
-
-	// Injection states: (src, dst) host pairs entering the network (switch
-	// nodes on indirect families never source or sink messages).
-	hosts := topo.Hosts()
-	for src := topology.Node(0); int(src) < hosts; src++ {
-		for dst := topology.Node(0); int(dst) < hosts; dst++ {
-			if src == dst {
-				continue
-			}
-			cands = fn.Candidates(src, dst, topology.Invalid, 0, cands[:0])
-			if len(cands) == 0 {
-				return deliveryProof{stuck: fmt.Sprintf(
-					"no candidates injecting at node %d toward %d", src, dst)}
-			}
-			for _, c := range cands {
-				if checkHop(src, dst, c) {
-					push(int32(int(c.Link)*numVCs+c.VC), dst)
-				}
-			}
-		}
-	}
-	// Transit states.
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		link := topology.LinkID(int(s.v) / numVCs)
-		vc := int(s.v) % numVCs
-		l, ok := topo.LinkByID(link)
-		if !ok {
-			continue
-		}
-		if l.To == s.dst {
-			continue // delivered
-		}
-		cands = fn.Candidates(l.To, s.dst, link, vc, cands[:0])
-		if len(cands) == 0 {
-			return deliveryProof{stuck: fmt.Sprintf(
-				"stuck at node %d toward %d holding %s",
-				l.To, s.dst, chanName(topo, numVCs, s.v))}
-		}
-		for _, c := range cands {
-			if checkHop(l.To, s.dst, c) {
-				push(int32(int(c.Link)*numVCs+c.VC), s.dst)
-			}
-		}
-	}
-
-	if monotone {
+// infinite candidate walks, so the last flit leaves in finite time. g must
+// be fn's dependency graph on topo.
+func proveDelivery(topo topology.Topology, fn routing.Func, g *routing.CDG) deliveryProof {
+	d := g.Delivery()
+	switch {
+	case d.Stuck && d.Held < 0:
+		return deliveryProof{stuck: fmt.Sprintf(
+			"no candidates injecting at node %d toward %d", d.At, d.Dst)}
+	case d.Stuck:
+		return deliveryProof{stuck: fmt.Sprintf(
+			"stuck at node %d toward %d holding %s",
+			d.At, d.Dst, chanName(topo, fn.NumVCs(), d.Held))}
+	case d.Monotone:
 		return deliveryProof{ok: true, monotone: true, bound: topo.Diameter()}
 	}
 	// Non-minimal hops exist: fall back to per-destination state-graph
@@ -218,7 +146,7 @@ func stateCycle(topo topology.Topology, fn routing.Func) []string {
 // for the substrate, bounded misroutes and retries for the wave layer, and
 // the fallback chain terminating in the substrate.
 func proveLivelock(sp Spec, kind protocol.Kind, fn routing.Func) Proof {
-	d := proveDelivery(sp.Topo, fn)
+	d := proveDelivery(sp.Topo, fn, routing.BuildCDGCached(sp.Topo, fn))
 	if !d.ok {
 		p := Proof{OK: false, Method: "delivery"}
 		if d.stuck != "" {

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/protocol"
@@ -15,6 +16,58 @@ import (
 // or protocol change that silently breaks a theorem is caught in CI before
 // any experiment reproduces garbage.
 func TestExperimentMatrix(t *testing.T) {
+	matrix := experimentMatrix(t)
+	for _, c := range matrix {
+		cert, err := Certify(c.spec())
+		if err != nil {
+			t.Errorf("%s: %s/%s w=%d %s k=%d: spec rejected: %v",
+				c.exp, c.topo.Name(), c.routing, c.vcs, c.kind, c.switches, err)
+			continue
+		}
+		if !cert.Certified {
+			t.Errorf("%s: %s/%s w=%d %s k=%d: NOT certified: %s",
+				c.exp, c.topo.Name(), c.routing, c.vcs, c.kind, c.switches, cert.Failure())
+		}
+		// Recovery configs must say so; everything else must rest on a
+		// static graph proof.
+		if c.recovery > 0 && cert.Deadlock.Method != "recovery" {
+			t.Errorf("%s: expected recovery certification, got %q", c.exp, cert.Deadlock.Method)
+		}
+		if c.recovery == 0 && cert.Deadlock.Method == "recovery" {
+			t.Errorf("%s: static config certified only via recovery", c.exp)
+		}
+	}
+	t.Logf("certified %d experiment configurations", len(matrix))
+}
+
+// combo is one experiment-suite configuration.
+type combo struct {
+	exp      string
+	topo     topology.Topology
+	routing  string
+	vcs      int
+	kind     protocol.Kind
+	switches int
+	recovery int64
+}
+
+// spec is the certification request for c.
+func (c combo) spec() Spec {
+	return Spec{
+		Topo: c.topo, Routing: c.routing, NumVCs: c.vcs, Protocol: c.kind,
+		NumSwitches: c.switches, MaxMisroutes: 2, ProbeRetryLimit: 3,
+		RecoveryTimeout: c.recovery,
+	}
+}
+
+// name identifies c uniquely within the matrix.
+func (c combo) name() string {
+	return fmt.Sprintf("%s %s %s w=%d %s k=%d rec=%d",
+		c.exp, c.topo.Name(), c.routing, c.vcs, c.kind, c.switches, c.recovery)
+}
+
+// experimentMatrix lists the configurations TestExperimentMatrix certifies.
+func experimentMatrix(t testing.TB) []combo {
 	torus88 := topology.MustCube([]int{8, 8}, true)
 	torus44 := topology.MustCube([]int{4, 4}, true) // quick-mode radix
 	mesh88 := topology.MustCube([]int{8, 8}, false)
@@ -24,15 +77,6 @@ func TestExperimentMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	type combo struct {
-		exp      string
-		topo     topology.Topology
-		routing  string
-		vcs      int
-		kind     protocol.Kind
-		switches int
-		recovery int64
-	}
 	var matrix []combo
 
 	// The baseline every experiment starts from, across all four protocols
@@ -104,31 +148,5 @@ func TestExperimentMatrix(t *testing.T) {
 	matrix = append(matrix,
 		combo{"fullmesh-recovery", fullmesh, "vcfree-nolabel", 1, protocol.Wormhole, 2, 256},
 	)
-
-	for _, c := range matrix {
-		sp := Spec{
-			Topo: c.topo, Routing: c.routing, NumVCs: c.vcs, Protocol: c.kind,
-			NumSwitches: c.switches, MaxMisroutes: 2, ProbeRetryLimit: 3,
-			RecoveryTimeout: c.recovery,
-		}
-		cert, err := Certify(sp)
-		if err != nil {
-			t.Errorf("%s: %s/%s w=%d %s k=%d: spec rejected: %v",
-				c.exp, c.topo.Name(), c.routing, c.vcs, c.kind, c.switches, err)
-			continue
-		}
-		if !cert.Certified {
-			t.Errorf("%s: %s/%s w=%d %s k=%d: NOT certified: %s",
-				c.exp, c.topo.Name(), c.routing, c.vcs, c.kind, c.switches, cert.Failure())
-		}
-		// Recovery configs must say so; everything else must rest on a
-		// static graph proof.
-		if c.recovery > 0 && cert.Deadlock.Method != "recovery" {
-			t.Errorf("%s: expected recovery certification, got %q", c.exp, cert.Deadlock.Method)
-		}
-		if c.recovery == 0 && cert.Deadlock.Method == "recovery" {
-			t.Errorf("%s: static config certified only via recovery", c.exp)
-		}
-	}
-	t.Logf("certified %d experiment configurations", len(matrix))
+	return matrix
 }

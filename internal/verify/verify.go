@@ -173,7 +173,11 @@ func Certify(sp Spec) (*Certificate, error) {
 	if err := validateFaults(sp); err != nil {
 		return nil, err
 	}
+	return certify(sp, kind, fn), nil
+}
 
+// certify proves the validated spec with routing function fn.
+func certify(sp Spec, kind protocol.Kind, fn routing.Func) *Certificate {
 	cert := &Certificate{
 		Topology:    sp.Topo.Name(),
 		Routing:     fn.Name(),
@@ -199,7 +203,7 @@ func Certify(sp Spec) (*Certificate, error) {
 	for _, ob := range cert.Obligations {
 		cert.Certified = cert.Certified && ob.OK
 	}
-	return cert, nil
+	return cert
 }
 
 // validateFaults rejects fault channels that do not exist on the topology.

@@ -232,7 +232,7 @@ func (f *pingpong) Candidates(here, dst topology.Node, _ topology.LinkID, _ int,
 func TestLivelockCounterexample(t *testing.T) {
 	ring := topology.MustCube([]int{4}, true)
 	fn := &pingpong{topo: ring}
-	d := proveDelivery(ring, fn)
+	d := proveDelivery(ring, fn, routing.BuildCDG(ring, fn))
 	if d.ok {
 		t.Fatal("pingpong accepted")
 	}
@@ -271,7 +271,7 @@ func TestMonotoneShippedFunctions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := proveDelivery(c.topo, fn)
+		d := proveDelivery(c.topo, fn, routing.BuildCDG(c.topo, fn))
 		if !d.ok || !d.monotone {
 			t.Errorf("%s on %s: delivery = %+v, want monotone", c.name, c.topo.Name(), d)
 		}

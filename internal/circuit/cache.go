@@ -6,7 +6,7 @@ package circuit
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -170,11 +170,17 @@ func (*Random) Name() string { return "random" }
 func (r *Random) Victim(cands []*Entry) int { return r.RNG.Intn(len(cands)) }
 
 // Cache is one node's Circuit Cache: at most Capacity circuits keyed by
-// destination (the paper stores one circuit per destination pair).
+// destination (the paper stores one circuit per destination pair). Entries
+// are a slice kept sorted by destination: a cache holds a handful of
+// circuits, so a sorted slice is both the lookup structure and the
+// deterministic iteration order victim selection and snapshots need, with
+// no map ranging or sorting per call.
 type Cache struct {
 	capacity int
 	policy   Policy
-	byDest   map[topology.Node]*Entry
+	entries  []*Entry
+	// cands is the reusable candidate buffer of victim selection.
+	cands []*Entry
 
 	// Counters for the E4 experiments.
 	Hits      int64
@@ -187,24 +193,34 @@ func NewCache(capacity int, policy Policy) *Cache {
 	if capacity < 1 {
 		panic(fmt.Sprintf("circuit: invalid cache capacity %d", capacity))
 	}
-	return &Cache{capacity: capacity, policy: policy, byDest: make(map[topology.Node]*Entry)}
+	return &Cache{capacity: capacity, policy: policy}
 }
 
 // Capacity returns the maximum entry count.
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Len returns the current entry count.
-func (c *Cache) Len() int { return len(c.byDest) }
+func (c *Cache) Len() int { return len(c.entries) }
 
 // Full reports whether the cache is at capacity.
-func (c *Cache) Full() bool { return len(c.byDest) >= c.capacity }
+func (c *Cache) Full() bool { return len(c.entries) >= c.capacity }
+
+// find returns the index of dst's entry, or where it would be inserted, and
+// whether it is present.
+func (c *Cache) find(dst topology.Node) (int, bool) {
+	i := 0
+	for i < len(c.entries) && c.entries[i].Dest < dst {
+		i++
+	}
+	return i, i < len(c.entries) && c.entries[i].Dest == dst
+}
 
 // Lookup returns the entry for dst, if any, counting hit/miss statistics
 // only when count is true (internal bookkeeping lookups pass false). Entries
 // with a pending release request are treated as misses: the circuit is
 // already promised to someone else.
 func (c *Cache) Lookup(dst topology.Node, count bool) (*Entry, bool) {
-	e, ok := c.byDest[dst]
+	e, ok := c.Peek(dst)
 	if ok && e.ReleaseRequested {
 		ok = false
 	}
@@ -223,67 +239,66 @@ func (c *Cache) Lookup(dst topology.Node, count bool) (*Entry, bool) {
 
 // Peek returns the raw entry for dst even if release-requested.
 func (c *Cache) Peek(dst topology.Node) (*Entry, bool) {
-	e, ok := c.byDest[dst]
-	return e, ok
+	if i, ok := c.find(dst); ok {
+		return c.entries[i], true
+	}
+	return nil, false
 }
 
 // Insert adds a new entry. It fails if an entry for the destination already
 // exists or the cache is full — callers must evict first.
 func (c *Cache) Insert(e *Entry) error {
-	if _, dup := c.byDest[e.Dest]; dup {
+	i, dup := c.find(e.Dest)
+	if dup {
 		return fmt.Errorf("circuit: duplicate cache entry for destination %d", e.Dest)
 	}
 	if c.Full() {
 		return fmt.Errorf("circuit: cache full (%d entries)", c.capacity)
 	}
-	c.byDest[e.Dest] = e
+	c.entries = slices.Insert(c.entries, i, e)
 	return nil
 }
 
 // Remove deletes the entry for dst.
 func (c *Cache) Remove(dst topology.Node) {
-	delete(c.byDest, dst)
+	if i, ok := c.find(dst); ok {
+		c.entries = slices.Delete(c.entries, i, i+1)
+	}
 }
 
-// Entries returns all entries in unspecified order; callers must not retain
-// the slice across mutations.
-func (c *Cache) Entries() []*Entry {
-	out := make([]*Entry, 0, len(c.byDest))
-	for _, e := range c.byDest {
-		out = append(out, e)
-	}
-	return out
-}
+// Entries returns a copy of all entries in ascending destination order.
+func (c *Cache) Entries() []*Entry { return slices.Clone(c.entries) }
 
 // VictimUsingChannel picks, via the replacement policy, an evictable circuit
 // whose source output channel (link + wave switch) satisfies wanted — the
 // CLRP Force-phase selection ("a circuit ... such that it uses one of the
 // requested channels"). Returns nil if none qualifies. Candidates are
-// gathered in deterministic (destination) order so identical runs pick
-// identical victims.
+// offered to the policy in ascending destination order, so identical runs
+// pick identical victims.
 func (c *Cache) VictimUsingChannel(wanted func(link topology.LinkID, sw int) bool) *Entry {
-	// Deterministic iteration: scan destinations in increasing order so that
-	// identical runs pick identical victims.
-	dsts := make([]topology.Node, 0, len(c.byDest))
-	for d := range c.byDest {
-		dsts = append(dsts, d)
-	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	var cands []*Entry
-	for _, d := range dsts {
-		if e := c.byDest[d]; e.Evictable() && wanted(e.Channel, e.Switch) {
-			cands = append(cands, e)
-		}
-	}
-	if len(cands) == 0 {
-		return nil
-	}
-	c.Evictions++
-	return cands[c.policy.Victim(cands)]
+	return c.victim(wanted)
 }
 
 // AnyVictim picks an evictable circuit regardless of channel (used when the
 // cache itself is full and a slot, not a channel, is needed).
-func (c *Cache) AnyVictim() *Entry {
-	return c.VictimUsingChannel(func(topology.LinkID, int) bool { return true })
+func (c *Cache) AnyVictim() *Entry { return c.victim(nil) }
+
+// victim runs the replacement policy over the evictable entries accepted by
+// wanted (all of them when wanted is nil), gathered in the reusable
+// candidate buffer.
+func (c *Cache) victim(wanted func(link topology.LinkID, sw int) bool) *Entry {
+	cands := c.cands[:0]
+	for _, e := range c.entries {
+		if e.Evictable() && (wanted == nil || wanted(e.Channel, e.Switch)) {
+			cands = append(cands, e)
+		}
+	}
+	c.cands = cands
+	if len(cands) == 0 {
+		return nil
+	}
+	c.Evictions++
+	v := cands[c.policy.Victim(cands)]
+	clear(cands)
+	return v
 }

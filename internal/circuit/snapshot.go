@@ -1,10 +1,12 @@
 package circuit
 
 // Snapshot support for the per-node Circuit Cache: entries serialise in
-// destination order (the map has no canonical order), together with the
-// hit/miss/eviction counters and the random policy's RNG state when one is
-// attached. Capacity and policy kind come from configuration and are not
-// serialised; restore targets a cache built identically.
+// their ascending destination order, together with the hit/miss/eviction
+// counters and the random policy's RNG state when one is attached. Capacity
+// and policy kind come from configuration and are not serialised; restore
+// targets a cache built identically, and refuses entry lists the cache
+// could not hold (unsorted or duplicated destinations, more entries than
+// the capacity).
 
 import (
 	"fmt"
@@ -36,18 +38,8 @@ func (c *Cache) EncodeState(w *snapshot.Writer) error {
 	} else {
 		w.Bool(false)
 	}
-	dsts := make([]topology.Node, 0, len(c.byDest))
-	for d := range c.byDest {
-		dsts = append(dsts, d)
-	}
-	for i := 1; i < len(dsts); i++ {
-		for j := i; j > 0 && dsts[j] < dsts[j-1]; j-- {
-			dsts[j], dsts[j-1] = dsts[j-1], dsts[j]
-		}
-	}
-	w.U32(uint32(len(dsts)))
-	for _, d := range dsts {
-		e := c.byDest[d]
+	w.U32(uint32(len(c.entries)))
+	for _, e := range c.entries {
 		w.I64(int64(e.ID))
 		w.Int(int(e.Dest))
 		w.Int(e.Switch)
@@ -77,10 +69,13 @@ func (c *Cache) DecodeState(r *snapshot.Reader) error {
 	if hasRNG {
 		rng.Seed(r.U64())
 	}
-	c.byDest = make(map[topology.Node]*Entry)
+	c.entries = c.entries[:0]
 	n := r.Count(1 << 26)
 	if r.Err() != nil {
 		return r.Err()
+	}
+	if n > c.capacity {
+		return fmt.Errorf("circuit: snapshot holds %d cache entries, capacity %d", n, c.capacity)
 	}
 	for i := 0; i < n; i++ {
 		e := &Entry{
@@ -99,7 +94,10 @@ func (c *Cache) DecodeState(r *snapshot.Reader) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		c.byDest[e.Dest] = e
+		if i > 0 && e.Dest <= c.entries[i-1].Dest {
+			return fmt.Errorf("circuit: snapshot cache entries not in ascending destination order (%d after %d)", e.Dest, c.entries[i-1].Dest)
+		}
+		c.entries = append(c.entries, e)
 	}
 	return r.Err()
 }

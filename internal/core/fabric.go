@@ -377,13 +377,12 @@ func New(topo topology.Topology, prm Params, hooks Hooks) (*Fabric, error) {
 func (f *Fabric) enableParallel(workers int) {
 	f.pool = engine.NewPool(workers)
 	f.WH.SetParallel(workers)
-	f.PCS.SetParallel(workers)
 	f.engineWorkers = workers
 	f.whPhase = func(worker, lo, hi int) {
 		f.WH.PrepareRange(worker, lo, hi)
 	}
-	f.pcsPhase = func(worker, lo, hi int) {
-		f.PCS.PrepareRange(f.now, worker, lo, hi)
+	f.pcsPhase = func(_, lo, hi int) {
+		f.PCS.PrepareRange(f.now, lo, hi)
 	}
 }
 

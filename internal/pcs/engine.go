@@ -212,12 +212,16 @@ type probe struct {
 	histNodes []topology.Node
 	histMasks []uint32
 
-	// opts is the output enumeration at the probe's current position and
-	// arrival channel. It depends on nothing else, so it is computed once
-	// per move: optsFresh is cleared by takeChannel and probeBacktrack, the
-	// only code that moves a probe.
-	opts      []outOption
-	optsFresh bool
+	// The probe's stack of output enumerations, one frame per path depth:
+	// frame d, the enumeration at the node reached after d hops, starts at
+	// optArena[frameAt[d]] and runs to the next frame's start. opts is the
+	// top frame. An enumeration depends only on the position, the arrival
+	// channel and the switch, which a backtrack restores, so a forward move
+	// enumerates once (pushFrame) and a backtrack pops back to the parent's
+	// frame (popFrame) instead of enumerating again.
+	optArena []outOption
+	frameAt  []int32
+	opts     []outOption
 	// prep is the decision precomputed by the parallel compute phase (see
 	// parallel.go); ignored by the serial engine.
 	prep prepState
@@ -253,6 +257,16 @@ type release struct {
 	at     Channel // channel whose reverse mapping is followed next
 }
 
+// linkFact is one link slot's endpoints and reverse slot, copied out of the
+// topology at construction so a probe move reads a table instead of calling
+// through the Topology interface.
+type linkFact struct {
+	from, to topology.Node
+	// rev is the slot running opposite, Invalid when there is none.
+	rev    topology.LinkID
+	exists bool
+}
+
 // Engine is the PCS routing control unit for the whole network.
 type Engine struct {
 	topo topology.Topology
@@ -263,6 +277,9 @@ type Engine struct {
 	geom topology.Geometry
 	prm  Params
 	host Host
+
+	// links[id] describes link slot id (phantom slots have exists false).
+	links []linkFact
 
 	// Figure 3 registers, dense per wave channel (index = link*k + switch).
 	status []Status
@@ -288,9 +305,18 @@ type Engine struct {
 	clock     uint64
 	prepStamp uint64
 
-	// scratch holds per-worker buffers for the outputs enumeration; index 0
-	// doubles as the serial path's scratch.
-	scratch []outScratch
+	// sc holds the reusable buffers of the outputs enumeration and the Force
+	// logic; both run only on the serial path.
+	sc outScratch
+	// wanted is the Force-phase victim filter handed to the host: it accepts
+	// an established channel among wantedReq, the requested channels of the
+	// probe being stepped. Built once in New, so a victim search creates no
+	// closure.
+	wanted    func(Channel) bool
+	wantedReq []outOption
+	// enumerations counts output enumerations (pushFrame calls); tests use
+	// it to check that backtracks reuse their parent's frame.
+	enumerations int64
 	// prepList is the probe snapshot being prepared this cycle.
 	prepList []*probe
 
@@ -363,11 +389,31 @@ func New(topo topology.Topology, prm Params, host Host) (*Engine, error) {
 		reverseMap: make([]int32, n),
 		stamp:      make([]uint64, n),
 		circuits:   make(map[circuit.ID]*Circuit),
-		scratch:    make([]outScratch, 1),
+		links:      make([]linkFact, topo.NumLinkSlots()),
 	}
 	for i := range e.directMap {
 		e.directMap[i] = -1
 		e.reverseMap[i] = -1
+	}
+	for id := range e.links {
+		l, ok := topo.LinkByID(topology.LinkID(id))
+		if !ok {
+			e.links[id] = linkFact{rev: topology.Invalid}
+			continue
+		}
+		rev, ok := topo.ReverseLinkID(l.ID)
+		if !ok {
+			rev = topology.Invalid
+		}
+		e.links[id] = linkFact{from: l.From, to: l.To, rev: rev, exists: true}
+	}
+	e.wanted = func(c Channel) bool {
+		for _, o := range e.wantedReq {
+			if o.ch == c && e.status[e.key(o.ch)] == Established {
+				return true
+			}
+		}
+		return false
 	}
 	return e, nil
 }
@@ -455,6 +501,16 @@ func (e *Engine) NumCircuits() int { return len(e.circuits) }
 
 // ActiveProbes returns the number of probes in flight.
 func (e *Engine) ActiveProbes() int { return len(e.probes) }
+
+// DeepestProbe returns the longest path, in hops, held by a probe still
+// searching (0 when none is).
+func (e *Engine) DeepestProbe() int {
+	d := 0
+	for _, p := range e.probes {
+		d = max(d, len(p.path))
+	}
+	return d
+}
 
 // InjectFault marks a wave channel faulty; established circuits through it
 // are unaffected (static faults present before circuit setup, as in the E8
@@ -681,6 +737,7 @@ func (e *Engine) launch(src, dst topology.Node, sw int, force bool, tag int64, d
 	p.launched = e.now
 	p.tag = tag
 	p.done = done
+	e.pushFrame(p)
 	e.probes = append(e.probes, p)
 	e.Ctr.ProbesLaunched++
 	return p.id
@@ -718,8 +775,9 @@ func (e *Engine) getProbe() *probe {
 	p.waitingOwner = 0
 	p.parked = false
 	p.tag = 0
-	p.opts = p.opts[:0]
-	p.optsFresh = false
+	p.optArena = p.optArena[:0]
+	p.frameAt = p.frameAt[:0]
+	p.opts = nil
 	p.prep.kind = prepNone
 	p.prep.cycle = -1
 	return p
@@ -1048,25 +1106,63 @@ func (e *Engine) stepProbe(p *probe) bool {
 		return keep
 	}
 
-	opts := e.probeOutputs(p, &e.scratch[0])
 	switch p.phase {
 	case probeAdvancing:
-		return e.probeAdvance(p, opts)
+		return e.probeAdvance(p, p.opts)
 	case probeWaiting:
-		return e.probeWait(p, opts)
+		return e.probeWait(p, p.opts)
 	default:
 		panic("pcs: unknown probe phase")
 	}
 }
 
-// probeOutputs returns p's output enumeration, computing it only when the
-// probe has moved since the last call.
-func (e *Engine) probeOutputs(p *probe, sc *outScratch) []outOption {
-	if !p.optsFresh {
-		p.opts = e.outputs(p, p.opts[:0], sc)
-		p.optsFresh = true
+// pushFrame enumerates the outputs at p's current position and arrival
+// channel and pushes them as p's top frame.
+func (e *Engine) pushFrame(p *probe) {
+	back := topology.Invalid
+	if n := len(p.path); n > 0 {
+		back = e.links[p.path[n-1].ch.Link].rev
 	}
-	return p.opts
+	start := len(p.optArena)
+	p.optArena = e.outputs(p.at, p.dst, p.sw, back, p.optArena)
+	p.frameAt = append(p.frameAt, int32(start))
+	p.opts = p.optArena[start:]
+	e.enumerations++
+}
+
+// popFrame drops p's top frame, making its parent's the current one.
+func (e *Engine) popFrame(p *probe) {
+	top := len(p.frameAt) - 1
+	p.optArena = p.optArena[:p.frameAt[top]]
+	p.frameAt = p.frameAt[:top]
+	p.opts = p.optArena[p.frameAt[top-1]:]
+}
+
+// rebuildFrames recreates the frame stack of a probe restored from a
+// snapshot by replaying its path from the source. It reports whether the
+// path is a connected walk of existing links on the probe's switch that
+// starts at the source and ends at the probe's position.
+func (e *Engine) rebuildFrames(p *probe) bool {
+	at, path := p.at, p.path
+	p.optArena, p.frameAt = p.optArena[:0], p.frameAt[:0]
+	p.at = p.src
+	for d := 0; ; d++ {
+		p.path = path[:d]
+		e.pushFrame(p)
+		if d == len(path) {
+			break
+		}
+		ch := path[d].ch
+		if ch.Link < 0 || int(ch.Link) >= len(e.links) || !e.links[ch.Link].exists ||
+			e.links[ch.Link].from != p.at || ch.Switch != p.sw {
+			return false
+		}
+		p.at = e.links[ch.Link].to
+	}
+	p.path = path
+	ok := p.at == at
+	p.at = at
+	return ok
 }
 
 // stillParked reports whether p is parked and every channel its stay
@@ -1101,37 +1197,23 @@ type outOption struct {
 	profitable bool
 }
 
-// outScratch holds the reusable buffers one outputs() caller needs; the
-// parallel compute phase owns one per worker so enumerations never contend.
-// The pad keeps neighbouring workers' scratch headers on separate cache
-// lines: the four slice headers are 96 bytes and are rewritten on every
-// enumeration, so two adjacent unpadded entries would false-share a line.
+// outScratch holds the reusable buffers of the outputs enumeration and the
+// Force logic.
 type outScratch struct {
 	offs []int
 	mags []int
 	mis  []outOption
 	req  []outOption
-	_    [128 - 96]byte
 }
 
-// outputs is pure with respect to shared mutable state: it reads only the
-// topology and the probe's own fields, which is what allows the parallel
-// compute phase to run it concurrently for every probe. Cube geometries keep
+// outputs appends to opts the enumeration of node at's outputs on switch sw
+// toward dst, excluding the U-turn onto link back (the reverse of the
+// arrival link, or Invalid at the source: going back is what Backtrack is
+// for). It reads only the topology and the link facts. Cube geometries keep
 // the original offset-arithmetic enumeration (bit-identical to the
 // pre-generalization engine); other families rank ports by Distance.
-func (e *Engine) outputs(p *probe, opts []outOption, sc *outScratch) []outOption {
-	// The channel the probe arrived through (to exclude immediate U-turns:
-	// going back is what Backtrack is for).
-	var backCh Channel
-	haveBack := false
-	if len(p.path) > 0 {
-		last := p.path[len(p.path)-1].ch
-		if rev, ok := e.topo.ReverseLinkID(last.Link); ok {
-			backCh = Channel{Link: rev, Switch: p.sw}
-			haveBack = true
-		}
-	}
-
+func (e *Engine) outputs(at, dst topology.Node, sw int, back topology.LinkID, opts []outOption) []outOption {
+	sc := &e.sc
 	base := len(opts)
 	mags := sc.mags[:0]
 	mis := sc.mis[:0]
@@ -1141,17 +1223,14 @@ func (e *Engine) outputs(p *probe, opts []outOption, sc *outScratch) []outOption
 			sc.offs = make([]int, dims)
 		}
 		offs := sc.offs[:dims]
-		e.geom.Offsets(p.at, p.dst, offs)
+		e.geom.Offsets(at, dst, offs)
+		slot := topology.LinkID(e.topo.SlotBase(at)) // cube ports are (dim, dir) in order
 		for dim := 0; dim < dims; dim++ {
-			for dir := topology.Plus; dir <= topology.Minus; dir++ {
-				link, ok := e.geom.OutLink(p.at, dim, dir)
-				if !ok {
+			for dir := topology.Plus; dir <= topology.Minus; dir, slot = dir+1, slot+1 {
+				if !e.links[slot].exists || slot == back {
 					continue
 				}
-				ch := Channel{Link: link, Switch: p.sw}
-				if haveBack && ch == backCh {
-					continue
-				}
+				ch := Channel{Link: slot, Switch: sw}
 				bit := uint32(1) << uint(dim*2+int(dir))
 				profitable := (offs[dim] > 0 && dir == topology.Plus) || (offs[dim] < 0 && dir == topology.Minus)
 				o := outOption{ch: ch, bit: bit, profitable: profitable}
@@ -1180,19 +1259,15 @@ func (e *Engine) outputs(p *probe, opts []outOption, sc *outScratch) []outOption
 	// distance to the destination. Profitable ports are kept in port order
 	// (every profitable hop on the shipped families reduces distance by
 	// exactly 1, so there is no magnitude to rank by); misroutes follow.
-	atDist := e.topo.Distance(p.at, p.dst)
-	for port := 0; port < e.topo.OutDegree(p.at); port++ {
-		link, ok := e.topo.OutSlot(p.at, port)
-		if !ok {
+	atDist := e.topo.Distance(at, dst)
+	for port := 0; port < e.topo.OutDegree(at); port++ {
+		link, ok := e.topo.OutSlot(at, port)
+		if !ok || link == back {
 			continue
 		}
-		ch := Channel{Link: link, Switch: p.sw}
-		if haveBack && ch == backCh {
-			continue
-		}
-		l, _ := e.topo.LinkByID(link)
+		ch := Channel{Link: link, Switch: sw}
 		bit := uint32(1) << uint(port)
-		profitable := e.topo.Distance(l.To, p.dst) < atDist
+		profitable := e.topo.Distance(e.links[link].to, dst) < atDist
 		o := outOption{ch: ch, bit: bit, profitable: profitable}
 		if profitable {
 			opts = append(opts, o)
@@ -1223,9 +1298,8 @@ func (e *Engine) takeChannel(p *probe, o outOption) {
 		p.misroutes++
 		e.Ctr.Misroutes++
 	}
-	l, _ := e.topo.LinkByID(o.ch.Link)
-	p.at = l.To
-	p.optsFresh = false
+	p.at = e.links[o.ch.Link].to
+	e.pushFrame(p)
 	p.phase = probeAdvancing
 	p.requestedRelease = false
 	e.Ctr.ControlHops++
@@ -1298,7 +1372,7 @@ func (e *Engine) probeAdvance(p *probe, opts []outOption) bool {
 // logic considers "requested": existing, unsearched, within misroute budget,
 // not faulty. The result aliases the engine's serial scratch buffer.
 func (e *Engine) requestedChannels(p *probe, opts []outOption, hist uint32) []outOption {
-	req := e.scratch[0].req[:0]
+	req := e.sc.req[:0]
 	for _, o := range opts {
 		if hist&o.bit != 0 {
 			continue
@@ -1311,7 +1385,7 @@ func (e *Engine) requestedChannels(p *probe, opts []outOption, hist uint32) []ou
 		}
 		req = append(req, o)
 	}
-	e.scratch[0].req = req[:0]
+	e.sc.req = req[:0]
 	return req
 }
 
@@ -1341,16 +1415,11 @@ func (e *Engine) forceSelectVictim(p *probe, opts []outOption, hist uint32) bool
 		// A release is already pending; keep waiting. probeWait revalidates.
 		return true
 	}
-	wanted := func(c Channel) bool {
-		for _, o := range req {
-			if e.status[e.key(o.ch)] == Established && o.ch == c {
-				return true
-			}
-		}
-		return false
-	}
 	// Preference 1: a circuit starting at the current node (its own cache).
-	if ch, ok := e.host.RequestLocalRelease(p.at, wanted); ok {
+	e.wantedReq = req
+	ch, ok := e.host.RequestLocalRelease(p.at, e.wanted)
+	e.wantedReq = nil
+	if ok {
 		p.requestedRelease = true
 		p.waitingFor = ch
 		p.waitingOwner = e.owner[e.key(ch)]
@@ -1426,9 +1495,8 @@ func (e *Engine) probeBacktrack(p *probe) bool {
 	if hop.misroute {
 		p.misroutes--
 	}
-	l, _ := e.topo.LinkByID(hop.ch.Link)
-	p.at = l.From
-	p.optsFresh = false
+	p.at = e.links[hop.ch.Link].from
+	e.popFrame(p)
 	p.requestedRelease = false
 	e.Ctr.Backtracks++
 	e.Ctr.ControlHops++

@@ -57,15 +57,6 @@ func (e *Engine) markTouched(k int32) {
 	e.stamp[k] = e.clock
 }
 
-// SetParallel sizes the per-worker scratch. Call once, before the first
-// cycle.
-func (e *Engine) SetParallel(workers int) {
-	if workers < 1 {
-		workers = 1
-	}
-	e.scratch = make([]outScratch, workers)
-}
-
 // PrepareCount snapshots the probe list for this cycle's compute phase and
 // returns its length. The fabric fans PrepareRange out over [0, count).
 func (e *Engine) PrepareCount() int {
@@ -74,18 +65,19 @@ func (e *Engine) PrepareCount() int {
 	return len(e.prepList)
 }
 
-// PrepareRange runs the compute phase for probes [lo, hi) of the snapshot on
-// behalf of `worker`. It reads shared engine state without writing it; all
-// writes go to the probes' own scratch and the worker's outScratch.
-func (e *Engine) PrepareRange(now int64, worker, lo, hi int) {
+// PrepareRange runs the compute phase for probes [lo, hi) of the snapshot.
+// It reads shared engine state without writing it; all writes go to the
+// probes' own prep scratch. A probe's output enumeration is already its top
+// frame, computed when it last moved.
+func (e *Engine) PrepareRange(now int64, lo, hi int) {
 	for _, p := range e.prepList[lo:hi] {
-		e.prepareProbe(now, worker, p)
+		e.prepareProbe(now, p)
 	}
 }
 
 // prepareProbe evaluates one probe's next step against the cycle-start state
 // and records the decision plus the channel keys it read.
-func (e *Engine) prepareProbe(now int64, worker int, p *probe) {
+func (e *Engine) prepareProbe(now int64, p *probe) {
 	pr := &p.prep
 	pr.cycle = now
 	pr.kind = prepSlow
@@ -94,7 +86,7 @@ func (e *Engine) prepareProbe(now int64, worker int, p *probe) {
 	if p.at == p.dst || e.stillParked(p) {
 		return // circuit registration + ack launch, or a parked probe: serial
 	}
-	opts := e.probeOutputs(p, &e.scratch[worker])
+	opts := p.opts
 	hist := p.histAt(p.at)
 
 	if p.phase == probeAdvancing {

@@ -5,10 +5,13 @@ package pcs
 // registers), the circuit registry in ID order, the in-flight probes in
 // slice order (step order is state), acknowledgments with their carried
 // probes, teardown and release flits, the ID counters and all statistics.
-// Per-cycle scratch (prep decisions, output enumerations, spill buffers)
-// and the object pools are excluded — snapshots are taken between cycles,
-// when they are logically empty, and restored probes/circuits come from
-// fresh objects.
+// Per-cycle scratch (prep decisions, spill buffers) and the object pools
+// are excluded — snapshots are taken between cycles, when they are
+// logically empty, and restored probes/circuits come from fresh objects. A
+// probe's frame stack of output enumerations is derived state: a restored
+// probe rebuilds it from its path. Decoding checks every channel, node and
+// path it restores and returns an error rather than a state the next cycle
+// would index out of range.
 //
 // Closure-carrying work (a probe with a done callback, a teardown with a
 // done closure, a circuit with a deferred closure) cannot be serialised;
@@ -34,6 +37,14 @@ func encodeChannel(w *snapshot.Writer, c Channel) {
 func decodeChannel(r *snapshot.Reader) Channel {
 	return Channel{Link: topology.LinkID(r.I64()), Switch: r.Int()}
 }
+
+// validChannel reports whether c names a wave channel of this engine.
+func (e *Engine) validChannel(c Channel) bool {
+	return c.Link >= 0 && int(c.Link) < len(e.links) && c.Switch >= 0 && c.Switch < e.prm.NumSwitches
+}
+
+// validNode reports whether n is a node of the topology.
+func (e *Engine) validNode(n topology.Node) bool { return n >= 0 && int(n) < e.topo.Nodes() }
 
 func (e *Engine) encodeProbe(w *snapshot.Writer, p *probe) error {
 	if p.done != nil {
@@ -109,7 +120,17 @@ func (e *Engine) decodeProbe(r *snapshot.Reader) (*probe, error) {
 	}
 	p.prep.kind = prepNone
 	p.prep.cycle = -1
-	return p, r.Err()
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	if !e.validNode(p.src) || !e.validNode(p.dst) || !e.validNode(p.at) || p.src == p.dst ||
+		p.sw < 0 || p.sw >= e.prm.NumSwitches || p.phase > probeWaiting || !e.validChannel(p.waitingFor) {
+		return nil, fmt.Errorf("pcs: snapshot probe %d has invalid fields", p.id)
+	}
+	if !e.rebuildFrames(p) {
+		return nil, fmt.Errorf("pcs: snapshot probe %d has a path that does not lead from its source to its position", p.id)
+	}
+	return p, nil
 }
 
 // EncodeState writes the engine's mutable state. It errors if any pending
@@ -222,6 +243,10 @@ func (e *Engine) DecodeState(r *snapshot.Reader) error {
 		e.ackRet[i] = r.Bool()
 		e.directMap[i] = int32(r.U32())
 		e.reverseMap[i] = int32(r.U32())
+		if e.status[i] > Faulty || e.directMap[i] < -1 || int(e.directMap[i]) >= nch ||
+			e.reverseMap[i] < -1 || int(e.reverseMap[i]) >= nch {
+			return fmt.Errorf("pcs: snapshot wave channel %d has invalid registers", i)
+		}
 	}
 
 	e.circuits = make(map[circuit.ID]*Circuit)
@@ -252,7 +277,14 @@ func (e *Engine) DecodeState(r *snapshot.Reader) error {
 			return r.Err()
 		}
 		for j := 0; j < np; j++ {
-			c.Path = append(c.Path, decodeChannel(r))
+			ch := decodeChannel(r)
+			if !e.validChannel(ch) {
+				return fmt.Errorf("pcs: snapshot circuit %d has invalid channel %+v", c.ID, ch)
+			}
+			c.Path = append(c.Path, ch)
+		}
+		if np == 0 || !e.validNode(c.Src) || !e.validNode(c.Dst) {
+			return fmt.Errorf("pcs: snapshot circuit %d has invalid endpoints or an empty path", c.ID)
 		}
 		c.releasePending = r.Bool()
 		c.tearingDown = r.Bool()
@@ -292,6 +324,9 @@ func (e *Engine) DecodeState(r *snapshot.Reader) error {
 		if !ok {
 			return fmt.Errorf("pcs: snapshot ack refers to unknown circuit %d", id)
 		}
+		if pos < 0 || pos >= len(c.Path) {
+			return fmt.Errorf("pcs: snapshot ack of circuit %d at hop %d of %d", id, pos, len(c.Path))
+		}
 		e.acks = append(e.acks, ack{circ: c, pos: pos, probe: p})
 	}
 
@@ -307,6 +342,9 @@ func (e *Engine) DecodeState(r *snapshot.Reader) error {
 		if !ok {
 			return fmt.Errorf("pcs: snapshot teardown refers to unknown circuit %d", id)
 		}
+		if next < 0 || next >= len(c.Path) {
+			return fmt.Errorf("pcs: snapshot teardown of circuit %d at hop %d of %d", id, next, len(c.Path))
+		}
 		e.teardowns = append(e.teardowns, teardown{circ: c, next: next, notify: notify})
 	}
 
@@ -315,7 +353,11 @@ func (e *Engine) DecodeState(r *snapshot.Reader) error {
 		return r.Err()
 	}
 	for i := 0; i < nrel; i++ {
-		e.releases = append(e.releases, release{circID: circuit.ID(r.I64()), at: decodeChannel(r)})
+		rel := release{circID: circuit.ID(r.I64()), at: decodeChannel(r)}
+		if !e.validChannel(rel.at) {
+			return fmt.Errorf("pcs: snapshot release flit at invalid channel %+v", rel.at)
+		}
+		e.releases = append(e.releases, rel)
 	}
 
 	e.nextProbe = flit.ProbeID(r.I64())

@@ -19,7 +19,7 @@ package protocol
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
@@ -154,6 +154,10 @@ type Manager struct {
 	// amortised instead of a scan over every in-flight message.
 	ageQueue []agedMsg
 	ageHead  int
+
+	// waiters is circuitFreed's scratch for the destinations waiting on a
+	// cache slot.
+	waiters []topology.Node
 
 	// Events, when non-nil, records protocol actions (see internal/events).
 	Events *events.Log
@@ -599,14 +603,18 @@ func (m *Manager) circuitFreed(src, dst topology.Node, id circuit.ID) {
 		}
 	}
 	// Wake destinations waiting for a cache slot, in deterministic order.
+	// The loop can re-enter circuitFreed (through RequestTeardown and
+	// setup), so it takes the scratch slice for its own and hands it back
+	// afterwards; a nested call finds none and uses a fresh one.
 	cache := m.Fab.Cache(src)
-	waiters := make([]topology.Node, 0, len(dsm))
+	waiters := m.waiters[:0]
+	m.waiters = nil
 	for wdst, ds := range dsm {
 		if ds.wantSlot {
 			waiters = append(waiters, wdst)
 		}
 	}
-	sort.Slice(waiters, func(i, j int) bool { return waiters[i] < waiters[j] })
+	slices.Sort(waiters)
 	for _, wdst := range waiters {
 		ds := dsm[wdst]
 		if ds.opening || len(ds.queue) == 0 {
@@ -638,6 +646,7 @@ func (m *Manager) circuitFreed(src, dst topology.Node, id circuit.ID) {
 			m.Fab.InjectWormhole(q)
 		}
 	}
+	m.waiters = waiters[:0]
 }
 
 // ---------------------------------------------------------------------------

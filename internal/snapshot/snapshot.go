@@ -15,6 +15,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -29,17 +30,17 @@ const Magic = "WAVESNAP"
 
 // Version is the current snapshot format version. Readers refuse other
 // versions: state layout changes must bump it.
-const Version = 1
+const Version = 2
 
 // ErrDigest is returned by Reader.Close when the trailing digest does not
 // match the payload read.
 var ErrDigest = errors.New("snapshot: digest mismatch (truncated or corrupted)")
 
-// chunkSize is the internal buffering granularity of Writer and Reader. A
-// snapshot payload is millions of tiny fixed-width fields; on a mega
-// topology, issuing each as its own underlying Write/Read (and its own
-// 1-8 byte sha256 update) dominated snapshot time. Fields accumulate into
-// chunkSize runs that hit the stream and the hash once.
+// chunkSize is the internal buffering granularity of Writer. A snapshot
+// payload is millions of tiny fixed-width fields; on a mega topology,
+// issuing each as its own underlying Write (and its own 1-8 byte sha256
+// update) dominated snapshot time. Fields accumulate into chunkSize runs
+// that hit the stream and the hash once.
 const chunkSize = 64 << 10
 
 // Writer serialises snapshot payload fields, hashing every byte written.
@@ -156,21 +157,21 @@ func (w *Writer) Close() error {
 	return err
 }
 
-// Reader reads snapshot payload fields, hashing every byte read so Close
-// can verify the trailing digest. It buffers internally (chunkSize runs),
-// so it may read ahead of the last field consumed: hand it a dedicated
-// stream, not one with trailing data a co-reader still needs.
+// Reader reads snapshot payload fields. NewReader reads the whole stream
+// into memory, so fields decode from a byte slice and Close hashes the
+// consumed payload once to verify the trailing digest. Holding the input
+// also bounds every element count by the bytes left to read (see Count):
+// a corrupted count cannot make a decode loop allocate or spin beyond the
+// input's size before the digest check condemns it. Hand it a dedicated
+// stream: it reads to EOF.
 type Reader struct {
-	r    io.Reader
-	h    hash.Hash
 	err  error
-	buf  [8]byte
-	rbuf []byte // buffered window: rbuf[pos:end] is unconsumed
-	pos  int
-	end  int
+	data []byte // everything after the header: payload, digest, trailing bytes
+	pos  int    // data[:pos] is the payload consumed so far
 }
 
-// NewReader checks the magic/version header and returns a payload reader.
+// NewReader checks the magic/version header, reads the rest of the stream
+// and returns a payload reader over it.
 func NewReader(r io.Reader) (*Reader, error) {
 	head := make([]byte, len(Magic)+4)
 	if _, err := io.ReadFull(r, head); err != nil {
@@ -182,44 +183,34 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if v := binary.LittleEndian.Uint32(head[len(Magic):]); v != Version {
 		return nil, fmt.Errorf("snapshot: unsupported version %d (want %d)", v, Version)
 	}
-	return &Reader{r: r, h: sha256.New(), rbuf: make([]byte, chunkSize)}, nil
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: read: %w", err)
+	}
+	return &Reader{data: data}, nil
 }
 
-// readRaw fills p from the buffered stream without hashing (the digest
-// trailer is read through it too, and must not hash itself).
-func (r *Reader) readRaw(p []byte) {
+// next consumes n payload bytes and returns them, or nil (setting the
+// sticky error) when fewer remain.
+func (r *Reader) next(n int) []byte {
 	if r.err != nil {
-		return
+		return nil
 	}
-	for len(p) > 0 {
-		if r.pos == r.end {
-			n, err := r.r.Read(r.rbuf)
-			if n == 0 {
-				if err == nil || err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
-				r.err = fmt.Errorf("snapshot: short read: %w", err)
-				return
-			}
-			r.pos, r.end = 0, n
-		}
-		n := copy(p, r.rbuf[r.pos:r.end])
-		r.pos += n
-		p = p[n:]
+	if n > len(r.data)-r.pos {
+		r.err = fmt.Errorf("snapshot: short read: %w", io.ErrUnexpectedEOF)
+		return nil
 	}
-}
-
-func (r *Reader) read(p []byte) {
-	r.readRaw(p)
-	if r.err == nil {
-		r.h.Write(p)
-	}
+	p := r.data[r.pos : r.pos+n]
+	r.pos += n
+	return p
 }
 
 // U8 reads one byte.
 func (r *Reader) U8() uint8 {
-	r.read(r.buf[:1])
-	return r.buf[0]
+	if p := r.next(1); p != nil {
+		return p[0]
+	}
+	return 0
 }
 
 // Bool reads a bool.
@@ -227,14 +218,18 @@ func (r *Reader) Bool() bool { return r.U8() != 0 }
 
 // U32 reads a uint32.
 func (r *Reader) U32() uint32 {
-	r.read(r.buf[:4])
-	return binary.LittleEndian.Uint32(r.buf[:4])
+	if p := r.next(4); p != nil {
+		return binary.LittleEndian.Uint32(p)
+	}
+	return 0
 }
 
 // U64 reads a uint64.
 func (r *Reader) U64() uint64 {
-	r.read(r.buf[:8])
-	return binary.LittleEndian.Uint64(r.buf[:8])
+	if p := r.next(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
 }
 
 // I64 reads an int64.
@@ -246,36 +241,30 @@ func (r *Reader) Int() int { return int(r.I64()) }
 // F64 reads a float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// Bytes reads a length-prefixed byte string.
+// Bytes reads a length-prefixed byte string (a copy, safe to retain).
 func (r *Reader) Bytes() []byte {
 	n := r.U32()
-	if r.err != nil {
-		return nil
+	if p := r.next(int(n)); p != nil {
+		return bytes.Clone(p)
 	}
-	// Cap pre-allocation: a corrupted length must not OOM before the
-	// digest check has a chance to reject the stream.
-	if n > 1<<30 {
-		r.err = fmt.Errorf("snapshot: implausible field length %d", n)
-		return nil
-	}
-	p := make([]byte, n)
-	r.read(p)
-	return p
+	return nil
 }
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes()) }
 
-// Count reads a u32 element count and rejects values above max, so decode
-// loops on a corrupted stream stay allocation-bounded until the digest
-// check can condemn it. Returns 0 once the stream is in error.
+// Count reads a u32 element count and rejects values above max or above
+// the bytes left to read (every element encodes as at least one byte), so
+// decode loops and their allocations on a corrupted stream stay bounded by
+// the input until the digest check can condemn it. Returns 0 once the
+// stream is in error.
 func (r *Reader) Count(max int) int {
 	n := int(r.U32())
 	if r.err != nil {
 		return 0
 	}
-	if n > max {
-		r.err = fmt.Errorf("snapshot: implausible element count %d (max %d)", n, max)
+	if n > max || n > len(r.data)-r.pos {
+		r.err = fmt.Errorf("snapshot: implausible element count %d (max %d, %d bytes left)", n, max, len(r.data)-r.pos)
 		return 0
 	}
 	return n
@@ -289,16 +278,12 @@ func (r *Reader) Close() error {
 	if r.err != nil {
 		return r.err
 	}
-	want := make([]byte, sha256.Size)
-	r.readRaw(want)
-	if r.err != nil {
-		return fmt.Errorf("snapshot: digest: %w", r.err)
+	if len(r.data)-r.pos < sha256.Size {
+		return fmt.Errorf("snapshot: digest: %w", io.ErrUnexpectedEOF)
 	}
-	got := r.h.Sum(nil)
-	for i := range want {
-		if want[i] != got[i] {
-			return ErrDigest
-		}
+	got := sha256.Sum256(r.data[:r.pos])
+	if !bytes.Equal(got[:], r.data[r.pos:r.pos+sha256.Size]) {
+		return ErrDigest
 	}
 	return nil
 }

@@ -14,8 +14,10 @@
 // The steady-state cycle allocates nothing: in-flight messages live in a
 // dense slot arena recycled through a free-list in delivery order (never a
 // map — recycling order must be canonical for the serial/parallel identity
-// guarantee), injection queues and the credit pipe are head-indexed rings
-// that reset when drained, and per-cycle scratch slices are length-reset.
+// guarantee), every VC buffer is a fixed ring in one engine-wide arena of
+// 12-byte flit references, injection queues and the credit pipe are
+// head-indexed rings that reset when drained, and per-cycle scratch slices
+// are length-reset.
 //
 // Simplifications relative to hardware, documented per DESIGN.md: credits
 // return instantaneously (zero-cycle credit path), and injection queues are
@@ -27,7 +29,6 @@ import (
 	"fmt"
 	mathbits "math/bits"
 
-	"repro/internal/buffer"
 	"repro/internal/flit"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -111,55 +112,38 @@ const (
 // index).
 const noSlot int32 = -1
 
+// flitRef is one buffered flit: the arena slot of its message, its position
+// within the message and its kind. Everything else a flit carries (message
+// ID, source, destination) is read from the slot when needed — a header's
+// destination when it routes — so a buffered flit costs 12 bytes.
+type flitRef struct {
+	slot int32
+	seq  int32
+	kind flit.Kind
+}
+
+// refAt returns the reference to flit i of the message in slot s.
+func refAt(s int32, m *flit.Message, i int) flitRef {
+	return flitRef{slot: s, seq: int32(i), kind: flit.KindAt(m.Len, i)}
+}
+
 // linkVC is the receive-side state of one virtual channel of one physical
-// link, owned by the link's sink router.
+// link, owned by the link's sink router. Its input buffer is the ring
+// Engine.bufs[port*BufDepth : (port+1)*BufDepth], of which count entries
+// starting at head are occupied; the front entry, when it is a header, names
+// the message that routes next.
 type linkVC struct {
-	buf     *buffer.FIFO
-	phase   vcPhase
 	outLink topology.LinkID // Invalid means local delivery
-	outVC   int
+	outVC   int32
 	// rcWait counts remaining route-computation cycles for the header at the
 	// front of the buffer (see Params.RouteDelay).
-	rcWait int
+	rcWait int32
 	// curSlot is the message-arena slot of the message currently traversing
 	// this VC (valid while phase is routing/active, noSlot otherwise);
 	// recovery uses it to release aborted allocations.
-	curSlot int32
-	// headSlots queues the arena slots of the header flits resident in buf,
-	// in arrival order; the front entry identifies the message whose header
-	// routes next. Keeping the slot beside the buffered header replaces the
-	// MsgID lookup the routing path would otherwise need. Head-indexed ring,
-	// reset when drained, so it never allocates in steady state.
-	headSlots []int32
-	hsHead    int
-}
-
-func (v *linkVC) pushHeadSlot(s int32) { v.headSlots = append(v.headSlots, s) }
-
-func (v *linkVC) popHeadSlot() int32 {
-	s := v.headSlots[v.hsHead]
-	v.hsHead++
-	if v.hsHead == len(v.headSlots) {
-		v.headSlots = v.headSlots[:0]
-		v.hsHead = 0
-	}
-	return s
-}
-
-// dropHeadSlot removes every pending occurrence of slot s (recovery scrubs
-// aborted headers), preserving the order of the rest.
-func (v *linkVC) dropHeadSlot(s int32) {
-	out := v.headSlots[:v.hsHead]
-	for _, hs := range v.headSlots[v.hsHead:] {
-		if hs != s {
-			out = append(out, hs)
-		}
-	}
-	v.headSlots = out
-	if v.hsHead == len(v.headSlots) {
-		v.headSlots = v.headSlots[:0]
-		v.hsHead = 0
-	}
+	curSlot     int32
+	head, count int32
+	phase       vcPhase
 }
 
 // injPort is a node's injection interface: an unbounded source queue of
@@ -241,6 +225,11 @@ type Engine struct {
 	// LinkFlits counts flits traversed per physical link slot (utilization).
 	LinkFlits []int64
 
+	// bufs holds every link VC's input buffer: the ring of channel ch is
+	// bufs[ch*depth : (ch+1)*depth] (see linkVC). depth caches BufDepth.
+	bufs  []flitRef
+	depth int32
+
 	// flitProbe, when set (tests only), observes every delivered flit.
 	flitProbe func(flit.Flit)
 
@@ -270,12 +259,11 @@ type Engine struct {
 	dirtyInPorts  []int32
 
 	// Scratch reused across cycles.
-	cands        []routing.Candidate
-	outLinkBusy  []bool
-	inPortBusy   []bool
-	arrivalsCh   []int32 // channel index receiving a flit this cycle
-	arrivalsFlit []flit.Flit
-	arrivalsSlot []int32 // arena slot of each arriving flit's message
+	cands       []routing.Candidate
+	outLinkBusy []bool
+	inPortBusy  []bool
+	arrivalsCh  []int32 // channel index receiving a flit this cycle
+	arrivalsRef []flitRef
 }
 
 // New constructs an engine for the topology and routing function.
@@ -299,11 +287,12 @@ func New(topo topology.Topology, fn routing.Func, prm Params, hooks Hooks) (*Eng
 		outLinkBusy: make([]bool, topo.NumLinkSlots()),
 		inPortBusy:  make([]bool, topo.NumLinkSlots()+topo.Nodes()),
 		LinkFlits:   make([]int64, topo.NumLinkSlots()),
+		bufs:        make([]flitRef, nch*prm.BufDepth),
+		depth:       int32(prm.BufDepth),
 	}
 	e.trackActivity = !prm.DisableActivityTracking
 	e.active = make([]uint64, (e.NumPorts()+63)/64)
 	for i := range e.in {
-		e.in[i].buf = buffer.NewFIFO(prm.BufDepth)
 		e.in[i].outLink = topology.Invalid
 		e.in[i].curSlot = noSlot
 		e.credits[i] = prm.BufDepth
@@ -317,6 +306,47 @@ func New(topo topology.Topology, fn routing.Func, prm Params, hooks Hooks) (*Eng
 
 // channel index helpers.
 func (e *Engine) ch(link topology.LinkID, vc int) int { return int(link)*e.prm.NumVCs + vc }
+
+// front returns the flit at the head of link VC port's buffer, which must be
+// non-empty.
+func (e *Engine) front(port int32) flitRef {
+	return e.bufs[port*e.depth+e.in[port].head]
+}
+
+// pushFlit appends r to link VC port's buffer. Credits guarantee space, so a
+// full buffer is a flow-control bug.
+func (e *Engine) pushFlit(port int32, r flitRef) {
+	v := &e.in[port]
+	if v.count == e.depth {
+		panic("wormhole: buffer overflow despite credit check")
+	}
+	i := v.head + v.count
+	if i >= e.depth {
+		i -= e.depth
+	}
+	e.bufs[port*e.depth+i] = r
+	v.count++
+}
+
+// popFlit drops the front flit of link VC port's buffer.
+func (e *Engine) popFlit(port int32) {
+	v := &e.in[port]
+	v.head++
+	if v.head == e.depth {
+		v.head = 0
+	}
+	v.count--
+}
+
+// bufAt returns the i-th buffered flit of link VC port, counting from the
+// front.
+func (e *Engine) bufAt(port int32, i int32) flitRef {
+	j := e.in[port].head + i
+	if j >= e.depth {
+		j -= e.depth
+	}
+	return e.bufs[port*e.depth+j]
+}
 
 // numLinkInputs returns the size of the link-channel input port space.
 func (e *Engine) numLinkInputs() int { return len(e.in) }
@@ -484,15 +514,12 @@ func (e *Engine) claimOutput(here topology.Node, dst int, inLink topology.LinkID
 
 func (e *Engine) allocateLinkVC(port int32) {
 	v := &e.in[port]
-	if v.phase != vcRouting {
-		return
+	if v.phase != vcRouting || v.count == 0 {
+		return // idle, streaming, or header not yet arrived
 	}
-	head, ok := v.buf.Front()
-	if !ok {
-		return // header not yet arrived
-	}
-	if !head.Kind.IsHead() {
-		panic(fmt.Sprintf("wormhole: routing phase with non-head flit %v at front", head.Kind))
+	head := e.front(port)
+	if !head.kind.IsHead() {
+		panic(fmt.Sprintf("wormhole: routing phase with non-head flit %v at front", head.kind))
 	}
 	if v.rcWait > 0 {
 		v.rcWait--
@@ -505,17 +532,18 @@ func (e *Engine) allocateLinkVC(port int32) {
 		panic("wormhole: flit on non-existent link")
 	}
 	here := l.To
-	if int(here) == head.Dst {
+	dst := e.slots[head.slot].msg.Dst
+	if int(here) == dst {
 		v.phase = vcActive
 		v.outLink = topology.Invalid // deliver locally
-		v.curSlot = v.popHeadSlot()
+		v.curSlot = head.slot
 		return
 	}
-	if outLink, outVC, claimed := e.claimOutput(here, head.Dst, link, inVC, port); claimed {
+	if outLink, outVC, claimed := e.claimOutput(here, dst, link, inVC, port); claimed {
 		v.phase = vcActive
 		v.outLink = outLink
-		v.outVC = outVC
-		v.curSlot = v.popHeadSlot()
+		v.outVC = int32(outVC)
+		v.curSlot = head.slot
 	}
 }
 
@@ -547,8 +575,7 @@ func (e *Engine) allocateInjection(n topology.Node) {
 func (e *Engine) switchAndTraverse(now int64) {
 	e.clearBusy()
 	e.arrivalsCh = e.arrivalsCh[:0]
-	e.arrivalsFlit = e.arrivalsFlit[:0]
-	e.arrivalsSlot = e.arrivalsSlot[:0]
+	e.arrivalsRef = e.arrivalsRef[:0]
 
 	total := e.numLinkInputs() + len(e.inj)
 	if e.trackActivity {
@@ -594,10 +621,9 @@ func (e *Engine) traversePort(port int, now int64) {
 	}
 }
 
-// sendFlit tries to move fl (of the message in arena slot `slot`) from input
-// port `port` to (outLink, outVC); it returns false if the physical link,
-// input port or credits forbid it.
-func (e *Engine) sendFlit(port int32, fl flit.Flit, slot int32, outLink topology.LinkID, outVC int) bool {
+// sendFlit tries to move r from input port `port` to (outLink, outVC); it
+// returns false if the physical link, input port or credits forbid it.
+func (e *Engine) sendFlit(port int32, r flitRef, outLink topology.LinkID, outVC int) bool {
 	if e.inPortBusy[e.inPortIndex(port)] {
 		return false
 	}
@@ -612,11 +638,10 @@ func (e *Engine) sendFlit(port int32, fl flit.Flit, slot int32, outLink topology
 	e.markOutBusy(int(outLink))
 	e.markInBusy(e.inPortIndex(port))
 	e.arrivalsCh = append(e.arrivalsCh, int32(idx))
-	e.arrivalsFlit = append(e.arrivalsFlit, fl)
-	e.arrivalsSlot = append(e.arrivalsSlot, slot)
+	e.arrivalsRef = append(e.arrivalsRef, r)
 	e.FlitsMoved++
 	e.LinkFlits[outLink]++
-	e.noteProgress(slot, e.now)
+	e.noteProgress(r.slot, e.now)
 	if e.hooks.Progress != nil {
 		e.hooks.Progress()
 	}
@@ -635,47 +660,48 @@ func (e *Engine) inPortIndex(port int32) int {
 
 func (e *Engine) traverseLinkVC(port int32, now int64) {
 	v := &e.in[port]
-	if v.phase != vcActive || v.buf.Empty() {
+	if v.phase != vcActive || v.count == 0 {
 		return
 	}
 	if e.inPortBusy[e.inPortIndex(port)] {
 		return
 	}
-	fl, _ := v.buf.Front()
+	r := e.front(port)
 	if v.outLink == topology.Invalid {
 		// Local delivery consumes one flit per input port per cycle.
-		v.buf.Pop()
+		e.popFlit(port)
 		e.returnCredit(port, now)
 		e.markInBusy(e.inPortIndex(port))
-		e.deliverFlit(fl, v.curSlot, now)
-		e.afterFlitLeft(port, v, fl)
+		e.deliverFlit(r, now)
+		e.afterFlitLeft(port, v, r.kind)
 		return
 	}
-	if e.sendFlit(port, fl, v.curSlot, v.outLink, v.outVC) {
-		v.buf.Pop()
+	if e.sendFlit(port, r, v.outLink, int(v.outVC)) {
+		e.popFlit(port)
 		e.returnCredit(port, now)
-		e.afterFlitLeft(port, v, fl)
+		e.afterFlitLeft(port, v, r.kind)
 	}
 }
 
-// afterFlitLeft updates VC bookkeeping once a flit has left input VC `port`.
-func (e *Engine) afterFlitLeft(port int32, v *linkVC, fl flit.Flit) {
-	if !fl.Kind.IsTail() {
+// afterFlitLeft updates VC bookkeeping once a flit of kind k has left input
+// VC `port`.
+func (e *Engine) afterFlitLeft(port int32, v *linkVC, k flit.Kind) {
+	if !k.IsTail() {
 		return
 	}
 	// Tail gone: release the output VC and recycle this input VC.
 	if v.outLink != topology.Invalid {
-		e.outOwner[e.ch(v.outLink, v.outVC)] = -1
+		e.outOwner[e.ch(v.outLink, int(v.outVC))] = -1
 	}
 	v.outLink = topology.Invalid
 	v.outVC = 0
 	v.curSlot = noSlot
-	if v.buf.Empty() {
+	if v.count == 0 {
 		v.phase = vcIdle
 		e.deactivate(int(port))
 	} else {
 		v.phase = vcRouting // next message's header is already queued
-		v.rcWait = e.prm.RouteDelay
+		v.rcWait = int32(e.prm.RouteDelay)
 	}
 }
 
@@ -685,8 +711,7 @@ func (e *Engine) traverseInjection(n topology.Node, now int64) {
 		return
 	}
 	slot := p.front()
-	m := e.slots[slot].msg
-	fl := m.FlitAt(p.sent)
+	r := refAt(slot, &e.slots[slot].msg, p.sent)
 	port := e.injInput(n)
 	if p.outLink == topology.Invalid {
 		// Self-send: deliver directly.
@@ -695,22 +720,22 @@ func (e *Engine) traverseInjection(n topology.Node, now int64) {
 		}
 		e.markInBusy(e.inPortIndex(port))
 		p.sent++
-		e.deliverFlit(fl, slot, now)
+		e.deliverFlit(r, now)
 		if e.hooks.Progress != nil {
 			e.hooks.Progress()
 		}
 		e.FlitsMoved++
-		e.afterInjectionFlit(port, p, fl)
+		e.afterInjectionFlit(port, p, r.kind)
 		return
 	}
-	if e.sendFlit(port, fl, slot, p.outLink, p.outVC) {
+	if e.sendFlit(port, r, p.outLink, p.outVC) {
 		p.sent++
-		e.afterInjectionFlit(port, p, fl)
+		e.afterInjectionFlit(port, p, r.kind)
 	}
 }
 
-func (e *Engine) afterInjectionFlit(port int32, p *injPort, fl flit.Flit) {
-	if !fl.Kind.IsTail() {
+func (e *Engine) afterInjectionFlit(port int32, p *injPort, k flit.Kind) {
+	if !k.IsTail() {
 		return
 	}
 	if p.outLink != topology.Invalid {
@@ -729,23 +754,22 @@ func (e *Engine) afterInjectionFlit(port int32, p *injPort, fl flit.Flit) {
 	}
 }
 
-// deliverFlit consumes a flit at its destination. `slot` is the arena slot of
-// the flit's message (known to the caller from its VC or injection state, so
-// no lookup is needed).
-func (e *Engine) deliverFlit(fl flit.Flit, slot int32, now int64) {
+// deliverFlit consumes a flit at its destination; the reference names its
+// message's arena slot, so no lookup is needed.
+func (e *Engine) deliverFlit(r flitRef, now int64) {
 	e.FlitsDelivered++
+	sl := &e.slots[r.slot]
 	if e.flitProbe != nil {
-		e.flitProbe(fl)
+		e.flitProbe(sl.msg.FlitAt(int(r.seq)))
 	}
-	if !fl.Kind.IsTail() {
+	if !r.kind.IsTail() {
 		return
 	}
-	sl := &e.slots[slot]
-	if !sl.live || sl.msg.ID != fl.Msg {
-		panic(fmt.Sprintf("wormhole: delivered unknown message %d", fl.Msg))
+	if !sl.live {
+		panic(fmt.Sprintf("wormhole: delivered flit of free slot %d", r.slot))
 	}
 	m := sl.msg
-	e.freeSlot(slot)
+	e.freeSlot(r.slot)
 	e.MsgsDelivered++
 	if e.hooks.Delivered != nil {
 		e.hooks.Delivered(m, now)
@@ -757,16 +781,10 @@ func (e *Engine) deliverFlit(fl flit.Flit, slot int32, now int64) {
 // delay (a flit cannot cross two links in one cycle).
 func (e *Engine) commitArrivals() {
 	for i, ch := range e.arrivalsCh {
-		fl := e.arrivalsFlit[i]
-		if !e.in[ch].buf.Push(fl) {
-			panic("wormhole: buffer overflow despite credit check")
-		}
-		if fl.Kind.IsHead() {
-			e.in[ch].pushHeadSlot(e.arrivalsSlot[i])
-		}
-		if e.in[ch].phase == vcIdle {
-			e.in[ch].phase = vcRouting
-			e.in[ch].rcWait = e.prm.RouteDelay
+		e.pushFlit(ch, e.arrivalsRef[i])
+		if v := &e.in[ch]; v.phase == vcIdle {
+			v.phase = vcRouting
+			v.rcWait = int32(e.prm.RouteDelay)
 			e.activate(int(ch))
 		}
 	}
@@ -789,17 +807,21 @@ func (e *Engine) DebugDump() {
 	}
 	for i := range e.in {
 		v := &e.in[i]
-		if v.phase == vcIdle && v.buf.Empty() {
+		if v.phase == vcIdle && v.count == 0 {
 			continue
 		}
 		link := topology.LinkID(i / e.prm.NumVCs)
 		vc := i % e.prm.NumVCs
 		l, _ := e.topo.LinkByID(link)
-		front, ok := v.buf.Front()
-		fmt.Printf("linkVC link=%d(%d->%d) vc=%d phase=%d buflen=%d front=%+v(%v) out=(%d,%d)\n",
-			link, l.From, l.To, vc, v.phase, v.buf.Len(), front, ok, v.outLink, v.outVC)
+		var front flitRef
+		if v.count > 0 {
+			front = e.front(int32(i))
+		}
+		fmt.Printf("linkVC link=%d(%d->%d) vc=%d phase=%d buflen=%d front=%+v out=(%d,%d)\n",
+			link, l.From, l.To, vc, v.phase, v.count, front, v.outLink, v.outVC)
 		if v.outLink != topology.Invalid {
-			fmt.Printf("  outOwner=%d credits=%d\n", e.outOwner[e.ch(v.outLink, v.outVC)], e.credits[e.ch(v.outLink, v.outVC)])
+			oc := e.ch(v.outLink, int(v.outVC))
+			fmt.Printf("  outOwner=%d credits=%d\n", e.outOwner[oc], e.credits[oc])
 		}
 	}
 	for n := range e.inj {

@@ -196,7 +196,7 @@ func TestCreditInvariantUnderLoad(t *testing.T) {
 		}
 	}
 	for i := range h.eng.in {
-		if !h.eng.in[i].buf.Empty() {
+		if h.eng.in[i].count != 0 {
 			t.Fatalf("channel %d buffer not empty after drain", i)
 		}
 		if h.eng.in[i].phase != vcIdle {

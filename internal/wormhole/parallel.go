@@ -186,12 +186,12 @@ func (e *Engine) preparePort(worker, port int) {
 		v := &e.in[port]
 		switch v.phase {
 		case vcRouting:
-			head, ok := v.buf.Front()
-			if !ok {
+			if v.count == 0 {
 				return
 			}
-			if !head.Kind.IsHead() {
-				panic(fmt.Sprintf("wormhole: routing phase with non-head flit %v at front", head.Kind))
+			head := e.front(int32(port))
+			if !head.kind.IsHead() {
+				panic(fmt.Sprintf("wormhole: routing phase with non-head flit %v at front", head.kind))
 			}
 			if v.rcWait > 0 {
 				v.rcWait--
@@ -202,17 +202,18 @@ func (e *Engine) preparePort(worker, port int) {
 			if !okL {
 				panic("wormhole: flit on non-existent link")
 			}
-			if int(l.To) == head.Dst {
+			dst := e.slots[head.slot].msg.Dst
+			if int(l.To) == dst {
 				// Local delivery: no candidates to claim.
 				p.cands[port] = p.cands[port][:0]
 				p.ws[worker].alloc = append(p.ws[worker].alloc, int32(port))
 				return
 			}
-			c := e.fn.Candidates(l.To, topology.Node(head.Dst), link, port%e.prm.NumVCs, p.cands[port][:0])
+			c := e.fn.Candidates(l.To, topology.Node(dst), link, port%e.prm.NumVCs, p.cands[port][:0])
 			e.fillCandCh(port, c)
 			p.pushAlloc(worker, port, c)
 		case vcActive:
-			if !v.buf.Empty() {
+			if v.count != 0 {
 				p.ws[worker].move = append(p.ws[worker].move, int32(port))
 			}
 		}
@@ -262,13 +263,13 @@ func (e *Engine) commitAlloc(port int) {
 	p := e.par
 	if port < e.numLinkInputs() {
 		v := &e.in[port]
-		head, _ := v.buf.Front()
+		head := e.front(int32(port))
 		link := topology.LinkID(port / e.prm.NumVCs)
 		l, _ := e.topo.LinkByID(link)
-		if int(l.To) == head.Dst {
+		if int(l.To) == e.slots[head.slot].msg.Dst {
 			v.phase = vcActive
 			v.outLink = topology.Invalid
-			v.curSlot = v.popHeadSlot()
+			v.curSlot = head.slot
 			setBit(p.move, port)
 			return
 		}
@@ -278,8 +279,8 @@ func (e *Engine) commitAlloc(port int) {
 				e.outOwner[idx] = int32(port)
 				v.phase = vcActive
 				v.outLink = c.Link
-				v.outVC = c.VC
-				v.curSlot = v.popHeadSlot()
+				v.outVC = int32(c.VC)
+				v.curSlot = head.slot
 				setBit(p.move, port)
 				return
 			}
@@ -346,8 +347,7 @@ func (e *Engine) CommitCycle(now int64) {
 
 	e.clearBusy()
 	e.arrivalsCh = e.arrivalsCh[:0]
-	e.arrivalsFlit = e.arrivalsFlit[:0]
-	e.arrivalsSlot = e.arrivalsSlot[:0]
+	e.arrivalsRef = e.arrivalsRef[:0]
 	// Rotated word scan over the movement bitmap. Traversal can deactivate
 	// only the port being visited (see switchAndTraverse) and p.move is not
 	// mutated during the scan, so the copied-word iteration is exact.

@@ -73,7 +73,7 @@ func TestParallelCycleMatchesSerial(t *testing.T) {
 				for i := range ser.eng.in {
 					sv, pv := &ser.eng.in[i], &par.eng.in[i]
 					if sv.phase != pv.phase || sv.outLink != pv.outLink || sv.outVC != pv.outVC ||
-						sv.rcWait != pv.rcWait || sv.buf.Len() != pv.buf.Len() ||
+						sv.rcWait != pv.rcWait || sv.count != pv.count ||
 						ser.eng.credits[i] != par.eng.credits[i] || ser.eng.outOwner[i] != par.eng.outOwner[i] {
 						t.Fatalf("cycle %d: channel %d state diverged", cyc, i)
 					}

@@ -18,8 +18,6 @@ package wormhole
 import (
 	"fmt"
 
-	"repro/internal/buffer"
-	"repro/internal/flit"
 	"repro/internal/topology"
 )
 
@@ -155,26 +153,22 @@ func (e *Engine) abort(s int32, now int64) {
 	// 1. Scrub link VC buffers.
 	for ch := range e.in {
 		v := &e.in[ch]
-		removed := e.removeMsgFlits(v.buf, m.ID)
-		if removed > 0 {
-			e.credits[ch] += removed
-		}
-		v.dropHeadSlot(s)
+		e.credits[ch] += e.removeMsgFlits(int32(ch), s)
 		// If this VC was carrying m (its current message), release its
 		// output allocation and recycle the VC for whatever is behind.
 		if v.phase != vcIdle && v.curSlot == s {
 			if v.outLink != topology.Invalid {
-				e.outOwner[e.ch(v.outLink, v.outVC)] = -1
+				e.outOwner[e.ch(v.outLink, int(v.outVC))] = -1
 			}
 			v.outLink = topology.Invalid
 			v.outVC = 0
 			v.curSlot = noSlot
-			if v.buf.Empty() {
+			if v.count == 0 {
 				v.phase = vcIdle
 				e.deactivate(ch)
 			} else {
 				v.phase = vcRouting
-				v.rcWait = e.prm.RouteDelay
+				v.rcWait = int32(e.prm.RouteDelay)
 			}
 		}
 	}
@@ -223,23 +217,28 @@ func (e *Engine) abort(s int32, now int64) {
 	}
 }
 
-// removeMsgFlits deletes all flits of msg from the FIFO, preserving the
-// order of everything else, and returns the count removed.
-func (e *Engine) removeMsgFlits(buf *buffer.FIFO, msg flit.MsgID) int {
-	n := buf.Len()
-	removed := 0
-	for i := 0; i < n; i++ {
-		fl, ok := buf.Pop()
-		if !ok {
-			break
-		}
-		if fl.Msg == msg {
-			removed++
+// removeMsgFlits deletes every flit of the message in slot s from link VC
+// port's buffer, preserving the order of everything else, and returns the
+// count removed. A live slot names one message, so matching the slot is
+// matching the message. The ring compacts in place toward its front.
+func (e *Engine) removeMsgFlits(port int32, s int32) int {
+	v := &e.in[port]
+	kept := int32(0)
+	for i := int32(0); i < v.count; i++ {
+		r := e.bufAt(port, i)
+		if r.slot == s {
 			continue
 		}
-		if !buf.Push(fl) {
-			panic("wormhole: refill overflow during abort scrub")
+		if kept != i {
+			j := v.head + kept
+			if j >= e.depth {
+				j -= e.depth
+			}
+			e.bufs[port*e.depth+j] = r
 		}
+		kept++
 	}
+	removed := int(v.count - kept)
+	v.count = kept
 	return removed
 }

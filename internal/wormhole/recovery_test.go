@@ -97,7 +97,7 @@ func TestRecoveryRandomTraffic(t *testing.T) {
 		}
 	}
 	for i := range h.eng.in {
-		if !h.eng.in[i].buf.Empty() || h.eng.in[i].phase != vcIdle {
+		if h.eng.in[i].count != 0 || h.eng.in[i].phase != vcIdle {
 			t.Fatalf("VC %d not clean after drain", i)
 		}
 	}

@@ -2,12 +2,16 @@ package wormhole
 
 // Snapshot support: EncodeState/DecodeState serialise the engine's complete
 // mutable state — the slot arena with its LIFO free-list order, per-VC
-// buffers and head-slot rings, injection queues, credit counters and the
-// in-flight credit pipe, output ownership, the active-set bitmap, recovery
-// bookkeeping and all counters. Per-cycle scratch (busy flags, dirty lists,
-// arrivals) is excluded: snapshots are taken between cycles, when it is
-// logically empty. Restoring into an engine built from the identical Params
-// and topology reproduces the original bit for bit.
+// buffers as (slot, seq) flit references, injection queues, credit counters
+// and the in-flight credit pipe, output ownership, the active-set bitmap,
+// recovery bookkeeping and all counters. Per-cycle scratch (busy flags,
+// dirty lists, arrivals) is excluded: snapshots are taken between cycles,
+// when it is logically empty. Restoring into an engine built from the
+// identical Params and topology reproduces the original bit for bit.
+//
+// DecodeState validates every index it restores — slot, channel, link and
+// port numbers, flit positions, buffer occupancy — and returns an error
+// rather than leaving an engine that would panic on its next cycle.
 
 import (
 	"fmt"
@@ -35,22 +39,25 @@ func decodeMessage(r *snapshot.Reader) flit.Message {
 	}
 }
 
-func encodeFlit(w *snapshot.Writer, fl flit.Flit) {
-	w.U8(uint8(fl.Kind))
-	w.I64(int64(fl.Msg))
-	w.Int(fl.Src)
-	w.Int(fl.Dst)
-	w.Int(fl.Seq)
+// liveSlot reports an error unless s, read for item i of kind what, names a
+// live slot of the arena.
+func (e *Engine) liveSlot(s int32, what string, i int) error {
+	if s < 0 || int(s) >= len(e.slots) || !e.slots[s].live {
+		return fmt.Errorf("wormhole: snapshot %s %d names slot %d, which is not live", what, i, s)
+	}
+	return nil
 }
 
-func decodeFlit(r *snapshot.Reader) flit.Flit {
-	return flit.Flit{
-		Kind: flit.Kind(r.U8()),
-		Msg:  flit.MsgID(r.I64()),
-		Src:  r.Int(),
-		Dst:  r.Int(),
-		Seq:  r.Int(),
+// checkOut reports an error unless (link, vc), read for port i of kind what,
+// is a valid output channel or link is Invalid (local delivery).
+func (e *Engine) checkOut(link topology.LinkID, vc int, what string, i int) error {
+	if link == topology.Invalid {
+		return nil
 	}
+	if link < 0 || int(link) >= len(e.LinkFlits) || vc < 0 || vc >= e.prm.NumVCs {
+		return fmt.Errorf("wormhole: snapshot %s %d output (%d,%d) out of range", what, i, link, vc)
+	}
+	return nil
 }
 
 // EncodeState writes the engine's mutable state. The caller guarantees the
@@ -82,20 +89,17 @@ func (e *Engine) EncodeState(w *snapshot.Writer) error {
 	w.U32(uint32(len(e.in)))
 	for i := range e.in {
 		v := &e.in[i]
-		w.U32(uint32(v.buf.Len()))
-		for j := 0; j < v.buf.Len(); j++ {
-			encodeFlit(w, v.buf.At(j))
+		w.U32(uint32(v.count))
+		for j := int32(0); j < v.count; j++ {
+			ref := e.bufAt(int32(i), j)
+			w.U32(uint32(ref.slot))
+			w.U32(uint32(ref.seq))
 		}
 		w.U8(uint8(v.phase))
 		w.I64(int64(v.outLink))
-		w.Int(v.outVC)
-		w.Int(v.rcWait)
+		w.Int(int(v.outVC))
+		w.Int(int(v.rcWait))
 		w.U32(uint32(v.curSlot))
-		pending := v.headSlots[v.hsHead:]
-		w.U32(uint32(len(pending)))
-		for _, hs := range pending {
-			w.U32(uint32(hs))
-		}
 	}
 	for _, c := range e.credits {
 		w.Int(c)
@@ -168,6 +172,7 @@ func (e *Engine) DecodeState(r *snapshot.Reader) error {
 		return r.Err()
 	}
 	e.slots = make([]msgSlot, nSlots)
+	nodes := len(e.inj)
 	for i := range e.slots {
 		sl := &e.slots[i]
 		sl.msg = decodeMessage(r)
@@ -176,6 +181,9 @@ func (e *Engine) DecodeState(r *snapshot.Reader) error {
 		sl.hasProgress = r.Bool()
 		sl.retries = r.Int()
 		sl.parked = r.Bool()
+		if m := sl.msg; sl.live && (m.Len < 1 || m.Src < 0 || m.Src >= nodes || m.Dst < 0 || m.Dst >= nodes) {
+			return fmt.Errorf("wormhole: snapshot slot %d holds an invalid message %+v", i, m)
+		}
 	}
 	nFree := r.Count(1 << 26)
 	if r.Err() != nil {
@@ -183,7 +191,11 @@ func (e *Engine) DecodeState(r *snapshot.Reader) error {
 	}
 	e.freeSlots = make([]int32, nFree)
 	for i := range e.freeSlots {
-		e.freeSlots[i] = int32(r.U32())
+		s := int32(r.U32())
+		if s < 0 || int(s) >= nSlots || e.slots[s].live {
+			return fmt.Errorf("wormhole: snapshot free-list names slot %d, which is not a free slot", s)
+		}
+		e.freeSlots[i] = s
 	}
 	e.liveSlots = r.Int()
 
@@ -193,36 +205,57 @@ func (e *Engine) DecodeState(r *snapshot.Reader) error {
 	}
 	for i := range e.in {
 		v := &e.in[i]
-		v.buf.Reset()
+		v.head, v.count = 0, 0
 		nb := r.Count(1 << 26)
 		if r.Err() != nil {
 			return r.Err()
 		}
+		if nb > int(e.depth) {
+			return fmt.Errorf("wormhole: snapshot VC %d holds %d flits, buffer depth %d", i, nb, e.depth)
+		}
 		for j := 0; j < nb; j++ {
-			if !v.buf.Push(decodeFlit(r)) {
-				return fmt.Errorf("wormhole: snapshot VC %d holds %d flits, buffer depth %d", i, nb, v.buf.Cap())
+			s, seq := int32(r.U32()), int32(r.U32())
+			if r.Err() != nil {
+				return r.Err()
 			}
+			if err := e.liveSlot(s, "flit in VC", i); err != nil {
+				return err
+			}
+			m := &e.slots[s].msg
+			if seq < 0 || int(seq) >= m.Len {
+				return fmt.Errorf("wormhole: snapshot VC %d holds flit %d of %d-flit message in slot %d", i, seq, m.Len, s)
+			}
+			e.pushFlit(int32(i), refAt(s, m, int(seq)))
 		}
 		v.phase = vcPhase(r.U8())
 		v.outLink = topology.LinkID(r.I64())
-		v.outVC = r.Int()
-		v.rcWait = r.Int()
+		outVC, rcWait := r.Int(), r.Int()
 		v.curSlot = int32(r.U32())
-		nh := r.Count(1 << 26)
 		if r.Err() != nil {
 			return r.Err()
 		}
-		v.headSlots = v.headSlots[:0]
-		v.hsHead = 0
-		for j := 0; j < nh; j++ {
-			v.headSlots = append(v.headSlots, int32(r.U32()))
+		if v.phase > vcActive {
+			return fmt.Errorf("wormhole: snapshot VC %d has invalid phase %d", i, v.phase)
+		}
+		if err := e.checkOut(v.outLink, outVC, "VC", i); err != nil {
+			return err
+		}
+		v.outVC, v.rcWait = int32(outVC), int32(rcWait)
+		if v.curSlot != noSlot {
+			if err := e.liveSlot(v.curSlot, "current message of VC", i); err != nil {
+				return err
+			}
 		}
 	}
 	for i := range e.credits {
 		e.credits[i] = r.Int()
 	}
 	for i := range e.outOwner {
-		e.outOwner[i] = int32(r.U32())
+		o := int32(r.U32())
+		if o < -1 || int(o) >= e.NumPorts() {
+			return fmt.Errorf("wormhole: snapshot channel %d owner %d out of range", i, o)
+		}
+		e.outOwner[i] = o
 	}
 
 	nInj := r.Count(1 << 26)
@@ -238,13 +271,29 @@ func (e *Engine) DecodeState(r *snapshot.Reader) error {
 		p.queue = p.queue[:0]
 		p.head = 0
 		for j := 0; j < nq; j++ {
-			p.queue = append(p.queue, int32(r.U32()))
+			s := int32(r.U32())
+			if err := e.liveSlot(s, "injection queue", i); err != nil {
+				return err
+			}
+			p.queue = append(p.queue, s)
 		}
 		p.sent = r.Int()
 		p.phase = vcPhase(r.U8())
 		p.outLink = topology.LinkID(r.I64())
 		p.outVC = r.Int()
 		p.rcWait = r.Int()
+		if r.Err() != nil {
+			return r.Err()
+		}
+		if p.phase > vcActive {
+			return fmt.Errorf("wormhole: snapshot injection port %d has invalid phase %d", i, p.phase)
+		}
+		if err := e.checkOut(p.outLink, p.outVC, "injection port", i); err != nil {
+			return err
+		}
+		if nq > 0 && (p.sent < 0 || p.sent >= e.slots[p.queue[0]].msg.Len) {
+			return fmt.Errorf("wormhole: snapshot injection port %d has sent %d flits of its front message", i, p.sent)
+		}
 	}
 
 	nc := r.Count(1 << 26)
@@ -254,7 +303,11 @@ func (e *Engine) DecodeState(r *snapshot.Reader) error {
 	e.creditQueue = e.creditQueue[:0]
 	e.creditHead = 0
 	for i := 0; i < nc; i++ {
-		e.creditQueue = append(e.creditQueue, pendingCredit{ch: int32(r.U32()), at: r.I64()})
+		pc := pendingCredit{ch: int32(r.U32()), at: r.I64()}
+		if pc.ch < 0 || int(pc.ch) >= len(e.credits) {
+			return fmt.Errorf("wormhole: snapshot credit for channel %d out of range", pc.ch)
+		}
+		e.creditQueue = append(e.creditQueue, pc)
 	}
 
 	hasRecovery := r.Bool()
@@ -269,7 +322,11 @@ func (e *Engine) DecodeState(r *snapshot.Reader) error {
 		}
 		e.recovery.parked = e.recovery.parked[:0]
 		for i := 0; i < np; i++ {
-			e.recovery.parked = append(e.recovery.parked, parkedSlot{slot: int32(r.U32()), readyAt: r.I64()})
+			ps := parkedSlot{slot: int32(r.U32()), readyAt: r.I64()}
+			if err := e.liveSlot(ps.slot, "parked message", i); err != nil {
+				return err
+			}
+			e.recovery.parked = append(e.recovery.parked, ps)
 		}
 	}
 

@@ -30,11 +30,11 @@ func zeroAllocEngine(tb testing.TB, prm Params) (*Engine, *int) {
 }
 
 // pumpDrain injects one 4-flit message per node (a static permutation-ish
-// pattern with no self-sends) and cycles until the network drains. All state
-// the run grows — slot arena, injection rings, headSlots rings, credit pipe,
-// arrival scratch — reaches steady capacity after the first call, so later
-// calls exercise the full inject/route/traverse/deliver path without
-// allocating.
+// pattern with no self-sends) and cycles until the network drains. The VC
+// buffers are one arena sized at construction; all state the run grows —
+// slot arena, injection rings, credit pipe, arrival scratch — reaches steady
+// capacity after the first call, so later calls exercise the full
+// inject/route/traverse/deliver path without allocating.
 func pumpDrain(tb testing.TB, e *Engine, now *int64, nextID *flit.MsgID) {
 	const nodes = 64
 	for n := 0; n < nodes; n++ {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/events"
 	"repro/internal/flit"
@@ -420,9 +419,7 @@ type CircuitInfo struct {
 func (s *Simulator) Circuits() []CircuitInfo {
 	var out []CircuitInfo
 	for n := 0; n < s.topo.Nodes(); n++ {
-		entries := s.mgr.Fab.Cache(topology.Node(n)).Entries()
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Dest < entries[j].Dest })
-		for _, e := range entries {
+		for _, e := range s.mgr.Fab.Cache(topology.Node(n)).Entries() { // ascending destination
 			if !e.AckReturned() {
 				continue
 			}

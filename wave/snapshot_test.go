@@ -205,3 +205,114 @@ func TestSnapshotDigestRejectsCorruption(t *testing.T) {
 		t.Fatal("corrupted snapshot restored without error")
 	}
 }
+
+// TestSnapshotMidSearchProbes checkpoints a saturated CLRP run at the first
+// cycle where a probe is in the middle of its search — holding a path of at
+// least two hops, so its frame stack of output enumerations is more than the
+// source frame — and checks that the restored run, which rebuilds those
+// frames from the probes' paths, finishes with the uninterrupted run's
+// Stats.
+func TestSnapshotMidSearchProbes(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Topology = TopologyConfig{Kind: "torus", Radix: []int{8, 8}}
+	cfg.CacheCapacity = 2
+	cfg.Seed = 31
+	cfg.Workers = 1
+	w := Workload{Pattern: "uniform", Load: 0.2, FixedLength: 32, WorkingSet: 4, Reuse: 0.7, WantCircuit: true, Seed: 3}
+	const warmup, measure = 300, 900
+
+	sA, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sA.Close()
+	if _, err := sA.RunLoad(w, warmup, measure); err != nil {
+		t.Fatal(err)
+	}
+
+	sB, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sB.Close()
+	var buf bytes.Buffer
+	taken := false
+	sB.OnInterval(1, func(now int64) {
+		if taken || now < warmup || sB.mgr.Fab.PCS.DeepestProbe() < 2 {
+			return
+		}
+		taken = true
+		if err := sB.Snapshot(&buf); err != nil {
+			t.Errorf("Snapshot: %v", err)
+		}
+	})
+	if _, err := sB.RunLoad(w, warmup, measure); err != nil {
+		t.Fatal(err)
+	}
+	if !taken {
+		t.Fatal("no cycle had a probe two or more hops into its search")
+	}
+
+	sC, err := Restore(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	defer sC.Close()
+	if sC.mgr.Fab.PCS.DeepestProbe() < 2 {
+		t.Fatal("restored simulator lost the mid-search probe")
+	}
+	if _, err := sC.ResumeLoad(); err != nil {
+		t.Fatalf("ResumeLoad: %v", err)
+	}
+	if a, c := sA.Stats(), sC.Stats(); a != c {
+		t.Errorf("restored run diverged from uninterrupted:\n A: %+v\n C: %+v", a, c)
+	}
+}
+
+// restoreSeed is a real snapshot of an 8x8 CLRP torus mid-run: circuits,
+// probes, VC buffers and source queues all hold state.
+func restoreSeed(t testing.TB) []byte {
+	cfg := DefaultConfig()
+	cfg.Topology = TopologyConfig{Kind: "torus", Radix: []int{8, 8}}
+	cfg.CacheCapacity = 2
+	cfg.Seed = 8
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 64; i++ {
+		s.Send(i, (i*11+5)%64, 32, true)
+	}
+	if err := s.Run(40); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzRestore feeds arbitrary bytes to Restore: it must return a simulator
+// or an error, never panic. The seed corpus — a real 8x8 CLRP snapshot,
+// which must restore, plus truncated and bit-flipped copies — runs under
+// plain go test.
+func FuzzRestore(f *testing.F) {
+	seed := restoreSeed(f)
+	if s, err := Restore(bytes.NewReader(seed)); err != nil {
+		f.Fatalf("the seed snapshot does not restore: %v", err)
+	} else {
+		s.Close()
+	}
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	flipped := bytes.Clone(seed)
+	flipped[len(flipped)*3/4] ^= 0x10
+	f.Add(flipped)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if s, err := Restore(bytes.NewReader(data)); err == nil {
+			s.Close()
+		}
+	})
+}
